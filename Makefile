@@ -31,7 +31,7 @@ bench-sweep:
 	$(PYTHON) -m repro exp run examples/sweeps/smoke.toml
 	$(PYTHON) -m repro exp report smoke
 
-# Engine comparison: frontier vs recursive vs legacy on the dense
+# Engine comparison: frontier vs the recursive oracle on the dense
 # benchmark graph; rows land in the store under run "engine-frontier"
 # and the report's policy-speedup table shows the ratios
 # (docs/KERNELS.md, "Frontier engine").

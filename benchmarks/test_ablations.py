@@ -61,7 +61,7 @@ def test_ablation_imbalance(benchmark, publish):
     # More PEs help, but sublinearly: the hub tree serializes.
     scaling_16 = result.data[1].cycles / result.data[16].cycles
     assert 1.0 < scaling_16 < 16.0
-    assert result.data[16].chip.load_imbalance > 1.2
+    assert result.data[16].load_imbalance > 1.2
 
 
 def test_ablation_edge_induced(benchmark, publish):

@@ -5,9 +5,9 @@ Two layers (docs/KERNELS.md):
 * per-kernel micro timings of intersect/subtract on synthetic operand
   shapes (balanced vs. skewed, with a prebuilt bitmap for the hub path);
 * end-to-end ``count_embeddings`` on seeded generator graphs, comparing
-  the adaptive layer (hub bitmaps + penultimate batch counting) against
-  the legacy configuration (forced merge kernel, per-child recursion)
-  that reproduces the pre-kernel-layer engine.
+  the shipped default (frontier engine, adaptive kernels, fused terminal
+  count) against the legacy configuration (forced merge kernel,
+  per-child recursion) that reproduces the pre-kernel-layer engine.
 
 All numbers land in ``benchmarks/results/BENCH_kernels.json`` so the
 perf trajectory has data points; counts are asserted identical in every
@@ -46,14 +46,12 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 #: the kernel layer existed (sort-based merges, per-child recursion).
 #: ``engine="recursive"`` pins the pre-frontier execution model now that
 #: the default policy runs the frontier engine.
-LEGACY = KernelPolicy(
-    force_kernel="merge", batch_penultimate=False, engine="recursive"
-)
+LEGACY = KernelPolicy(force_kernel="merge", engine="recursive")
 
-#: Adaptive configuration: hub bitmaps + penultimate batch counting on
-#: the recursive engine — what this file's end-to-end speedup measures
-#: (the frontier engine has its own benchmark, ``test_engine.py``).
-ADAPTIVE = KernelPolicy(engine="recursive")
+#: Adaptive configuration: the shipped default policy (frontier engine,
+#: size-adaptive kernels, fused terminal count) — what this file's
+#: end-to-end speedup measures.
+ADAPTIVE = KernelPolicy()
 
 _INTERSECT_KERNELS = {
     "merge": merge_intersect,
@@ -137,7 +135,7 @@ def test_micro_bitmap_prebuilt(benchmark, results_dir):
 
 #: Seeded benchmark graphs.  Dense enough that set operations (not the
 #: upper-level Python traversal) dominate, which is the regime the
-#: penultimate batch counter targets.
+#: fused terminal count targets.
 _E2E_GRAPH = (40, 0.5, 11) if SMOKE else (120, 0.7, 11)
 
 #: Required adaptive-over-legacy speedup (ISSUE 5 acceptance floor).

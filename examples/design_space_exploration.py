@@ -57,7 +57,7 @@ def main() -> None:
     print("\ntask-group size sensitivity (paper: 'performance is insensitive"
           " to these parameters'):")
     auto = simulate(graph, workload, FingersConfig(num_pes=1), roots=roots)
-    print(f"  auto policy (chose {auto.chip.task_group_size}): "
+    print(f"  auto policy (chose {auto.task_group_size}): "
           f"{auto.cycles:12,.0f} cycles")
     for size in (1, 2, 4, 8, 16):
         cfg = FingersConfig(num_pes=1, task_group_size=size)
@@ -76,7 +76,7 @@ def main() -> None:
         print(
             f"  {num_pes:2d} PEs ({num_pes * pe_area_15:5.2f} mm2 @15nm): "
             f"{res.cycles:12,.0f} cycles, "
-            f"load imbalance {res.chip.load_imbalance:.2f}"
+            f"load imbalance {res.load_imbalance:.2f}"
         )
 
 

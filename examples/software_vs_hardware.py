@@ -16,7 +16,7 @@ Run:  python examples/software_vs_hardware.py
 
 from repro import FingersConfig, FlexMinerConfig, simulate
 from repro.graph import load_dataset
-from repro.sw import SoftwareConfig, simulate_software
+from repro.sw.config import SoftwareConfig
 
 
 def main() -> None:
@@ -38,7 +38,7 @@ def main() -> None:
         row = [f"{cores:3d}  "]
         for granularity in ("tree", "branch"):
             cfg = SoftwareConfig(num_cores=cores, granularity=granularity)
-            res = simulate_software(graph, pattern, cfg, roots=roots)
+            res = simulate(graph, pattern, cfg, roots=roots)
             if base is None:
                 base = res.cycles
             row.append(
@@ -55,7 +55,7 @@ def main() -> None:
     # 2. Best software vs the accelerators, in nanoseconds.
     # ------------------------------------------------------------------
     sw_cfg = SoftwareConfig(num_cores=16, granularity="branch")
-    sw = simulate_software(graph, pattern, sw_cfg, roots=roots)
+    sw = simulate(graph, pattern, sw_cfg, roots=roots)
     flex = simulate(graph, pattern, FlexMinerConfig(num_pes=40), roots=roots)
     fing = simulate(graph, pattern, FingersConfig(num_pes=20), roots=roots)
     assert sw.counts == flex.counts == fing.counts

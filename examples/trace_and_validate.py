@@ -38,7 +38,7 @@ def main() -> None:
         graph, "tc", FingersConfig(num_pes=6), roots=roots, tracer=tracer
     )
     print(f"tc on the LiveJournal analog, 6 PEs: {result.cycles:,.0f} cycles, "
-          f"imbalance {result.chip.load_imbalance:.2f}")
+          f"imbalance {result.load_imbalance:.2f}")
     print("timeline ('#' = task groups, '.' = memory stalls):")
     print(render_gantt(tracer, width=66))
     for pid in range(6):

@@ -71,7 +71,7 @@ def ablation_scheduling(
                 policy,
                 f"{res.cycles:,.0f}",
                 f"{base / res.cycles:.2f}",
-                f"{res.chip.load_imbalance:.2f}",
+                f"{res.load_imbalance:.2f}",
             )
         )
     return AblationResult(
@@ -167,7 +167,7 @@ def ablation_group_size(
         rows.append(
             (
                 label,
-                res.chip.task_group_size,
+                res.task_group_size,
                 f"{res.cycles:,.0f}",
                 f"{base / res.cycles:.2f}",
             )
@@ -256,7 +256,7 @@ def ablation_imbalance(
                 num_pes,
                 f"{res.cycles:,.0f}",
                 f"{base / res.cycles:.2f}",
-                f"{res.chip.load_imbalance:.2f}",
+                f"{res.load_imbalance:.2f}",
             )
         )
     return AblationResult(

@@ -392,8 +392,8 @@ def fig13(
             flex = run_cached(
                 graph, gname, pattern, FlexMinerConfig(num_pes=40), mem, roots
             )
-            curves[(gname, "FINGERS", cap)] = fing.chip.shared_cache.miss_rate
-            curves[(gname, "FlexMiner", cap)] = flex.chip.shared_cache.miss_rate
+            curves[(gname, "FINGERS", cap)] = fing.shared_cache.miss_rate
+            curves[(gname, "FlexMiner", cap)] = flex.shared_cache.miss_rate
     return Fig13Result(
         pattern=pattern,
         capacities_mb=tuple(capacities_mb),
@@ -436,7 +436,7 @@ def table3(
     rows = {}
     for pattern in patterns:
         res = run_cached(graph, graph_name, pattern, cfg, None, roots)
-        combined = res.chip.combined
+        combined = res.combined
         rows[pattern] = (
             combined.active_rate(cfg.num_ius),
             combined.balance_rate,

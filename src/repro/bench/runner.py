@@ -29,12 +29,7 @@ from repro.cache import default_cache
 from repro.core.backend import Backend, backend_for_config, get_backend
 from repro.core.result import RunResult
 from repro.graph.csr import CSRGraph
-from repro.hw.api import (
-    FingersConfig,
-    FlexMinerConfig,
-    MemoryConfig,
-    SimResult,
-)
+from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig
 
 __all__ = [
     "PairResult",
@@ -102,8 +97,8 @@ class PairResult:
 
     workload: str
     graph: str
-    ours: SimResult
-    baseline: SimResult
+    ours: RunResult
+    baseline: RunResult
 
     @property
     def speedup(self) -> float:
@@ -193,7 +188,7 @@ def run_cached(
     schedule: str = "dynamic",
     jobs: int | None = None,
     disk: bool | None = None,
-) -> SimResult:
+) -> RunResult:
     """Memoized :func:`repro.hw.api.simulate`: the backend is selected by
     the configuration's type through the registry."""
     return run_backend_cached(

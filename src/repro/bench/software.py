@@ -22,7 +22,7 @@ from repro.bench.runner import run_cached, run_software_cached
 from repro.bench.workloads import roots_for
 from repro.graph.datasets import load_dataset
 from repro.hw.api import FingersConfig, FlexMinerConfig
-from repro.sw import SoftwareConfig
+from repro.sw.config import SoftwareConfig
 
 __all__ = ["software_comparison", "software_scaling", "SoftwareBenchResult"]
 

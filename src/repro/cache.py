@@ -64,8 +64,9 @@ __all__ = [
 ]
 
 #: Bump whenever any simulator/engine change alters results for the same
-#: inputs; every existing cache entry then misses and is recomputed.
-SCHEMA_VERSION = 1
+#: inputs, or a cached value's type changes shape; every existing cache
+#: entry then misses and is recomputed.
+SCHEMA_VERSION = 2
 
 _ENTRY_SUFFIX = ".pkl"
 

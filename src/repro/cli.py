@@ -332,21 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = exp_sub.add_parser("list", help="list runs in the result store")
     q.add_argument("--store", default=None, metavar="DIR")
 
-    q = exp_sub.add_parser(
-        "migrate",
-        help="import legacy BENCH_kernels.json / fig10 / ablation files "
-             "as baseline runs",
-    )
-    q.add_argument(
-        "--results", default=None, metavar="DIR",
-        help="legacy results directory (default: benchmarks/results)",
-    )
-    q.add_argument("--store", default=None, metavar="DIR")
-    q.add_argument(
-        "--force", action="store_true",
-        help="replace baseline runs that already exist in the store",
-    )
-
     p = sub.add_parser(
         "lint",
         help="determinism/parallel-safety linter (rule catalog: "
@@ -820,7 +805,6 @@ def _cmd_exp(args) -> int:
         SpecError,
         diff_runs,
         load_spec_file,
-        migrate_legacy_results,
         run_sweep,
         write_report,
     )
@@ -900,26 +884,14 @@ def _cmd_exp(args) -> int:
         print(report.render())
         return report.exit_code
 
-    if args.exp_command == "list":
-        runs = store.runs()
-        if not runs:
-            print(f"no runs in {store.root}")
-            return 0
-        for run in runs:
-            rows = store.load(run)
-            print(f"{run:24s} {len(rows):5d} rows")
+    # list
+    runs = store.runs()
+    if not runs:
+        print(f"no runs in {store.root}")
         return 0
-
-    # migrate
-    written = migrate_legacy_results(
-        args.results, store, force=args.force
-    )
-    if not written:
-        print("no legacy result files found")
-        return 0
-    for run, count in sorted(written.items()):
-        note = f"{count} rows" if count else "already present (use --force)"
-        print(f"{run:24s} {note}")
+    for run in runs:
+        rows = store.load(run)
+        print(f"{run:24s} {len(rows):5d} rows")
     return 0
 
 

@@ -1,7 +1,6 @@
 """The one result type every backend produces.
 
-:class:`RunResult` replaces the former ``ChipResult`` /
-``SoftwareResult`` / ``SimResult`` triplication.  A result is
+:class:`RunResult` is what every backend returns.  A result is
 
 * workload identity (``workload``, ``pattern_names``) — attached by the
   backend front door, empty for bare component-level runs;
@@ -26,7 +25,7 @@ refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.core.merge import merge_stats
@@ -107,38 +106,10 @@ class RunResult:
 
         return merge_stats(self.units, cls=PEStats)
 
-    # -- compatibility surface -------------------------------------------
-    # The pre-registry result types survive as views: ``pe_stats`` /
-    # ``core_stats`` alias ``units``, ``.chip`` strips workload identity
-    # (the old ``SimResult.chip`` held the bare chip-level record), and
-    # sections/scalars resolve as attributes (``.shared_cache``,
-    # ``.num_pes``, ``.total_steals``, ...).
-
-    @property
-    def chip(self) -> "RunResult":
-        """This result without workload identity (old ``SimResult.chip``)."""
-        if not self.workload and not self.pattern_names:
-            return self
-        return replace(self, workload="", pattern_names=())
-
-    @property
-    def pe_stats(self) -> tuple:
-        return self.units
-
-    @property
-    def core_stats(self) -> tuple:
-        return self.units
-
-    @property
-    def pe_finish_times(self) -> tuple:
-        return self.unit_finish_times
+    # -- sections and scalars as attributes ----------------------------
+    # ``result.shared_cache``, ``result.num_pes``, ``result.total_steals``
 
     def __getattr__(self, name: str):
-        if name == "retry_stats":
-            # Results unpickled from pre-resilience disk-cache entries
-            # predate the field; treat them as fault-free runs instead
-            # of bumping the cache schema version.
-            return None
         if name.startswith("_") or name in ("scalars", "sections"):
             raise AttributeError(name)
         d = object.__getattribute__(self, "__dict__")

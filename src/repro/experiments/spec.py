@@ -23,7 +23,7 @@ TOML layout (see ``examples/sweeps/smoke.toml``)::
     [[kernel_policies]]      # optional extra functional-only axis
     name = "legacy"
     force_kernel = "merge"
-    batch_penultimate = false
+    engine = "recursive"
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ Layout
 """
 
 from repro.hw.config import FingersConfig, FlexMinerConfig, MemoryConfig
-from repro.hw.api import simulate, speedup_grid, SimResult
+from repro.hw.api import simulate, speedup_grid
 
 __all__ = [
     "FingersConfig",
@@ -31,5 +31,4 @@ __all__ = [
     "MemoryConfig",
     "simulate",
     "speedup_grid",
-    "SimResult",
 ]

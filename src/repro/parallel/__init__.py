@@ -12,6 +12,10 @@ in ``docs/PARALLELISM.md``; the short version:
   that depends only on the graph and root set, one cold chip per shard,
   exact counter merges, makespan = max over shards — bit-for-bit
   identical for every ``jobs`` value.
+
+This package owns the chunking policy and the worker pool; the drivers
+built on them (``run_sharded`` and the engine's ``*_parallel``
+helpers) live in :mod:`repro.core.sharded`.
 """
 
 from repro.parallel.chunking import (
@@ -20,16 +24,6 @@ from repro.parallel.chunking import (
     default_num_shards,
     engine_num_chunks,
     shard_roots,
-)
-from repro.parallel.hardware import (
-    resolve_shards,
-    sharded_run_chip,
-    sharded_software_run,
-)
-from repro.parallel.mining import (
-    count_embeddings_parallel,
-    list_embeddings_parallel,
-    per_root_counts_parallel,
 )
 from repro.parallel.pool import (
     pool_unavailable_reason,
@@ -47,12 +41,6 @@ __all__ = [
     "default_num_shards",
     "engine_num_chunks",
     "shard_roots",
-    "resolve_shards",
-    "sharded_run_chip",
-    "sharded_software_run",
-    "count_embeddings_parallel",
-    "list_embeddings_parallel",
-    "per_root_counts_parallel",
     "pool_unavailable_reason",
     "reset_retry_stats",
     "retry_stats",

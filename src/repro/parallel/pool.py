@@ -277,16 +277,23 @@ def _run_pool(
         broken = False
         try:
             stats.attempts += len(pending)
-            futures = [
-                (i, executor.submit(_invoke, (attempts[i], shards[i])))
-                for i in pending
-            ]
+            futures = []
+            for i in pending:
+                try:
+                    fut = executor.submit(_invoke, (attempts[i], shards[i]))
+                except BrokenProcessPool:
+                    # A worker died under an earlier shard before this
+                    # one was queued; it is requeued like the rest.
+                    fut = None
+                futures.append((i, fut))
             for i, fut in futures:
-                if broken:
+                if broken or fut is None:
                     # The pool is already condemned; salvage whatever
                     # finished cleanly and requeue the rest.
+                    broken = True
                     if (
-                        fut.done()
+                        fut is not None
+                        and fut.done()
                         and not fut.cancelled()
                         and fut.exception() is None
                     ):

@@ -4,8 +4,9 @@ Pattern-aware mining represents candidate sets and neighbor lists as
 strictly increasing arrays of vertex ids, so intersection and subtraction
 are one-pass merges (paper section 2.1).  This package provides:
 
-* :mod:`repro.setops.merge` — the functional merge-based operations used
-  by the reference engine and (for result values) the timing models;
+* :mod:`repro.setops.merge` — the symmetry-breaking and injectivity
+  candidate filters, plus the pure-Python reference merges the property
+  tests compare against;
 * :mod:`repro.setops.segments` — fixed-length segmentation, head lists,
   and segment pairing, the substrate of segment-level parallelism
   (paper sections 3.4 and 4.2);
@@ -14,21 +15,14 @@ are one-pass merges (paper section 2.1).  This package provides:
   the merge primitives by the test suite;
 * :mod:`repro.setops.kernels` — the size-adaptive kernel dispatch layer
   (merge / gallop / hub-bitmap) used by the engine and simulators for
-  functional results; bit-identical to the merge primitives
-  (docs/KERNELS.md);
+  functional results; every kernel is bit-identical (docs/KERNELS.md);
 * :mod:`repro.setops.segmented` — segment-aware batch kernels
   (:class:`~repro.setops.segmented.SegmentedSet`, batched
   edge-membership probes) behind the frontier engine's
   frontier-at-a-time execution (docs/KERNELS.md, "Frontier engine").
 """
 
-from repro.setops.merge import (
-    intersect,
-    subtract,
-    apply_op,
-    lower_bound_filter,
-    exclude_values,
-)
+from repro.setops.merge import lower_bound_filter, exclude_values
 from repro.setops.segments import (
     LONG_SEGMENT_LEN,
     SHORT_SEGMENT_LEN,
@@ -65,9 +59,6 @@ from repro.setops.segmented import (
 )
 
 __all__ = [
-    "intersect",
-    "subtract",
-    "apply_op",
     "lower_bound_filter",
     "exclude_values",
     "LONG_SEGMENT_LEN",

@@ -114,8 +114,7 @@ def kernel_counters() -> dict[str, int]:
     """Snapshot of per-kernel dispatch counts since the last reset.
 
     Keys are ``"<op>/<kernel>"`` (e.g. ``"intersect/gallop"``) plus the
-    batch-counting tallies ``"batch/invocations"`` and
-    ``"batch/children"``.
+    frontier engine's ``"frontier/..."`` tallies.
     """
     return dict(_COUNTERS)
 
@@ -318,10 +317,6 @@ class KernelPolicy:
         Hub-index sizing, forwarded to
         :meth:`repro.graph.csr.CSRGraph.hub_bitmap_index`.  The memory
         bound caps ``#hubs * ceil(|V|/64) * 8`` bytes.
-    batch_penultimate:
-        Enable the vectorized penultimate-level counting path in
-        :mod:`repro.mining.engine` (recursive engine) and the fused
-        terminal level of the frontier engine.
     force_kernel:
         ``"merge"``, ``"gallop"``, or ``"bitmap"`` pins every dispatch
         to one kernel (the property-test escape hatch); ``None`` selects
@@ -367,7 +362,6 @@ class KernelPolicy:
     hub_max_hubs: int = 64
     hub_min_degree: int = 128
     hub_memory_bytes: int = 8 << 20
-    batch_penultimate: bool = True
     force_kernel: str | None = None
     engine: str = "frontier"
     frontier_budget_bytes: int = 128 << 20
@@ -519,10 +513,13 @@ class KernelContext:
         *,
         vertex: int | None = None,
     ) -> np.ndarray:
-        """Adaptive analog of :func:`repro.setops.merge.apply_op`.
+        """Execute one plan op functionally.
 
-        Bit-identical to the merge reference for every policy — only
-        the kernel executing the op changes.
+        ``INIT_COPY`` returns the operand (the fetched neighbor list);
+        ``ANTI_SUBTRACT`` subtracts the *postponed* ancestor's list from
+        the source (see :class:`repro.pattern.plan.OpKind`).  Every
+        policy gives the identical result — only the kernel executing
+        the op changes.
         """
         if kind is OpKind.INIT_COPY:
             _tally("copy")

@@ -1,10 +1,11 @@
-"""Merge-based set operations on strictly increasing id arrays.
+"""Candidate filters and reference merges on strictly increasing id arrays.
 
-These are the functional primitives: given the library invariant that all
-inputs are sorted and duplicate-free, intersection and subtraction reduce
-to ``numpy`` set routines with ``assume_unique=True`` (C-speed merges).
-A pure-Python one-pass merge is also provided as the independent reference
-the property-based tests compare against.
+The engines' set operations themselves live in :mod:`repro.setops.kernels`
+(``merge_intersect`` / ``merge_subtract`` and their adaptive siblings).
+This module holds the two candidate filters every executor applies after
+a level's set ops — symmetry-breaking lower bounds and injectivity
+excludes — plus a pure-Python one-pass merge, the independent reference
+the property-based tests compare every kernel against.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.pattern.plan import OpKind
-
 __all__ = [
-    "intersect",
-    "subtract",
-    "apply_op",
     "lower_bound_filter",
     "exclude_values",
     "merge_intersect_py",
@@ -31,46 +27,6 @@ _EMPTY = np.empty(0, dtype=np.int32)
 def _as_ids(a: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int32)
     return arr if arr.size else _EMPTY
-
-
-def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a ∩ b`` for sorted unique arrays; result sorted unique."""
-    a = _as_ids(a)
-    b = _as_ids(b)
-    if a.size == 0 or b.size == 0:
-        return _EMPTY
-    return np.intersect1d(a, b, assume_unique=True)
-
-
-def subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a − b`` for sorted unique arrays; result sorted unique."""
-    a = _as_ids(a)
-    b = _as_ids(b)
-    if a.size == 0:
-        return _EMPTY
-    if b.size == 0:
-        return a
-    return np.setdiff1d(a, b, assume_unique=True)
-
-
-def apply_op(
-    kind: OpKind, source: np.ndarray | None, operand: np.ndarray
-) -> np.ndarray:
-    """Execute one plan op functionally.
-
-    ``INIT_COPY`` returns the operand (the fetched neighbor list);
-    ``ANTI_SUBTRACT`` subtracts the *postponed* ancestor's list from the
-    source (see :class:`repro.pattern.plan.OpKind`).
-    """
-    if kind is OpKind.INIT_COPY:
-        return _as_ids(operand)
-    if source is None:
-        raise ValueError(f"{kind} requires a source set")
-    if kind is OpKind.INTERSECT:
-        return intersect(source, operand)
-    if kind is OpKind.SUBTRACT or kind is OpKind.ANTI_SUBTRACT:
-        return subtract(source, operand)
-    raise ValueError(f"unknown op kind {kind!r}")
 
 
 def lower_bound_filter(values: np.ndarray, bound: int) -> np.ndarray:

@@ -19,20 +19,9 @@ the *same* execution plans, with
 The models share the memory system (:mod:`repro.hw.cache`,
 :mod:`repro.hw.memory`) and must reproduce the reference engine's counts
 exactly, like every other executor in this repository.
+
+Run it through the backend registry like every other executor:
+``repro.hw.api.simulate(graph, "tc", SoftwareConfig(...))`` (or
+``repro.core.get_backend("software")``), with
+:class:`~repro.sw.config.SoftwareConfig` from :mod:`repro.sw.config`.
 """
-
-from repro.sw.config import SoftwareConfig
-from repro.sw.miner import (
-    SoftwareMiner,
-    SoftwareResult,
-    merge_software_results,
-    simulate_software,
-)
-
-__all__ = [
-    "SoftwareConfig",
-    "SoftwareMiner",
-    "simulate_software",
-    "SoftwareResult",
-    "merge_software_results",
-]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from repro.core.result import RunResult, merge_run_results
+from repro.core.result import RunResult
 from repro.graph.csr import CSRGraph
 from repro.hw.cache import SectoredLRUCache
 from repro.hw.config import MemoryConfig
@@ -30,12 +30,7 @@ from repro.hw.memory import DRAMModel
 from repro.hw.pe import BasePE, Task
 from repro.sw.config import SoftwareConfig
 
-__all__ = [
-    "SoftwareMiner",
-    "SoftwareResult",
-    "simulate_software",
-    "merge_software_results",
-]
+__all__ = ["SoftwareMiner"]
 
 #: LLC hit latency in core cycles (deeper hierarchy than the
 #: accelerator's dedicated shared cache).
@@ -103,24 +98,6 @@ class _Core(BasePE):
         return len(self._stack)
 
 
-#: Software runs produce the unified result type; the old name survives
-#: as an alias (``core_stats``, ``llc``, ``total_steals``, ... resolve
-#: through :class:`repro.core.result.RunResult`'s compatibility surface).
-SoftwareResult = RunResult
-
-
-def merge_software_results(
-    results: Sequence[RunResult],
-) -> RunResult:
-    """Combine per-shard software runs with exact semantics.
-
-    Alias of :func:`repro.core.result.merge_run_results`: counts,
-    traffic counters, and steals sum; core stats concatenate; ``cycles``
-    is the slowest shard's makespan.
-    """
-    return merge_run_results(results)
-
-
 class SoftwareMiner:
     """Driver: schedules roots over cores, with optional work stealing."""
 
@@ -137,7 +114,7 @@ class SoftwareMiner:
         base_mem = memcfg or MemoryConfig()
         self.memcfg = base_mem.with_shared_cache(config.llc_bytes)
 
-    def run(self, roots: Iterable[int] | None = None) -> SoftwareResult:
+    def run(self, roots: Iterable[int] | None = None) -> RunResult:
         llc = SectoredLRUCache(self.memcfg.shared_cache_bytes, name="llc")
         dram = DRAMModel(self.memcfg)
         cores = [
@@ -206,27 +183,3 @@ class SoftwareMiner:
             },
         )
 
-
-def simulate_software(
-    graph: CSRGraph,
-    workload,
-    config: SoftwareConfig,
-    *,
-    roots: Iterable[int] | None = None,
-    jobs: int | None = None,
-    shards: int | None = None,
-) -> RunResult:
-    """Run one mining job on the software model.
-
-    Accepts the same workload specs as :func:`repro.hw.api.simulate`.
-    ``jobs``/``shards`` select the sharded model (one cold miner per
-    root shard, exact merges, makespan = max over shards) with the same
-    determinism contract as the chip simulator — see
-    docs/PARALLELISM.md.  Delegates to the registered ``software``
-    backend (:mod:`repro.core.backends`).
-    """
-    from repro.core.backend import get_backend
-
-    return get_backend("software").run(
-        graph, workload, config, roots=roots, jobs=jobs, shards=shards
-    )

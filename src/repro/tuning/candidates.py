@@ -13,10 +13,10 @@ grid"):
   necessary condition for per-root attribution to survive the reorder
   (trials verify the sufficient one).
 * **Policies** — a small grid seeded from the caller's base policy: the
-  base itself, the flipped engine, an eager-gallop variant, and
-  signature-gated variants (a raised segment-bitmap budget when the
-  dense adjacency bitmap *almost* fits, eager hub bitmaps when the
-  graph carries real hub mass).
+  base itself, the frontier engine when the base is recursive, an
+  eager-gallop variant, and signature-gated variants (a raised
+  segment-bitmap budget when the dense adjacency bitmap *almost* fits,
+  eager hub bitmaps when the graph carries real hub mass).
 
 The reference candidate — the caller's own plan and base policy — is
 always first: trials compare everything against it, and the tuner can
@@ -85,8 +85,10 @@ def policy_grid(
     """The labeled policy variants seeded from ``base`` (concrete)."""
     base = replace(base, tuned=False)
     grid: list[tuple[str, KernelPolicy]] = [("base", base)]
-    flipped = "recursive" if base.engine == "frontier" else "frontier"
-    grid.append((flipped, replace(base, engine=flipped)))
+    if base.engine == "recursive":
+        # The recursive engine is the unbatched oracle: worth offering
+        # its replacement, never worth trialing as a replacement.
+        grid.append(("frontier", replace(base, engine="frontier")))
     if base.force_kernel is None:
         grid.append((
             "gallop-eager",

@@ -14,7 +14,7 @@ from repro.bench.runner import (
 from repro.cache import default_cache
 from repro.graph import erdos_renyi
 from repro.hw.api import FingersConfig
-from repro.sw import SoftwareConfig
+from repro.sw.config import SoftwareConfig
 
 
 @pytest.fixture(autouse=True)

@@ -109,19 +109,3 @@ class TestReportListDiff:
         assert (out_dir / "clismoke.md").exists()
         assert not (out_dir / "clismoke.html").exists()
 
-
-class TestMigrate:
-    def test_migrate_populates_baselines(self, capsys):
-        assert main(["exp", "migrate",
-                     "--results", "benchmarks/results"]) == 0
-        out = capsys.readouterr().out
-        assert "kernels-baseline" in out
-        assert "fig10-baseline" in out
-        store = ResultStore()
-        assert len(store.load("fig10-baseline")) == 42
-
-    def test_migrate_empty_dir(self, tmp_path, capsys):
-        empty = tmp_path / "nothing"
-        empty.mkdir()
-        assert main(["exp", "migrate", "--results", str(empty)]) == 0
-        assert "no legacy result files" in capsys.readouterr().out

@@ -129,7 +129,7 @@ class TestExpansion:
             sweep={"backends": ["functional", "fingers"]},
             kernel_policies=[
                 {"name": "legacy", "force_kernel": "merge",
-                 "batch_penultimate": False},
+                 "engine": "recursive"},
             ],
         )
         cells = load_spec(data).expand()

@@ -12,13 +12,13 @@ class TestChipResultMetrics:
     def test_count_sums_patterns(self):
         g = erdos_renyi(40, 0.3, seed=61)
         res = simulate(g, "3mc", FingersConfig(num_pes=2))
-        assert res.chip.count == sum(res.chip.counts)
+        assert res.count == sum(res.counts)
 
     def test_load_imbalance_at_least_one(self):
         g = erdos_renyi(40, 0.3, seed=62)
         for pes in (1, 3):
             res = simulate(g, "tc", FingersConfig(num_pes=pes))
-            assert res.chip.load_imbalance >= 0.99
+            assert res.load_imbalance >= 0.99
 
     def test_empty_run(self):
         g = from_edges([], num_vertices=3)
@@ -63,7 +63,7 @@ class TestInterleaving:
         mem = MemoryConfig(shared_cache_bytes=2048)
         few = simulate(g, "tc", FlexMinerConfig(num_pes=2), memory=mem)
         many = simulate(g, "tc", FlexMinerConfig(num_pes=16), memory=mem)
-        assert many.chip.shared_cache.miss_rate >= few.chip.shared_cache.miss_rate * 0.9
+        assert many.shared_cache.miss_rate >= few.shared_cache.miss_rate * 0.9
 
     def test_dram_busy_reported(self):
         from repro.hw.api import MemoryConfig
@@ -71,5 +71,5 @@ class TestInterleaving:
         g = erdos_renyi(300, 0.05, seed=64)
         mem = MemoryConfig(shared_cache_bytes=1024)
         res = simulate(g, "tc", FingersConfig(num_pes=4), memory=mem)
-        assert res.chip.dram.busy_cycles > 0
-        assert res.chip.dram.requests >= res.chip.shared_cache.misses
+        assert res.dram.busy_cycles > 0
+        assert res.dram.requests >= res.shared_cache.misses

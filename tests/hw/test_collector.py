@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.collector import ResultCollector, SegmentResult
-from repro.setops import intersect, subtract
+from repro.setops.merge import merge_intersect_py, merge_subtract_py
 from repro.setops.segments import segment_bounds
 
 sorted_sets = st.lists(
@@ -96,13 +96,13 @@ class TestEndToEndEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_intersection_matches_merge(self, a, b):
         got = self._run_pipeline(a, b, "intersect")
-        assert got == list(intersect(arr(a), arr(b)))
+        assert got == merge_intersect_py(a, b)
 
     @given(sorted_sets, sorted_sets)
     @settings(max_examples=100, deadline=None)
     def test_subtraction_matches_merge(self, a, b):
         got = self._run_pipeline(a, b, "subtract")
-        assert got == list(subtract(arr(a), arr(b)))
+        assert got == merge_subtract_py(a, b)
 
     @given(sorted_sets, sorted_sets)
     @settings(max_examples=50, deadline=None)
@@ -119,4 +119,4 @@ class TestEndToEndEquivalence:
                 seg_id, values, tuple(v in b1 for v in values)))
             collector.receive(SegmentResult(
                 seg_id, values, tuple(v in b2 for v in values)))
-        assert collector.finish() == list(intersect(arr(a), arr(b)))
+        assert collector.finish() == merge_intersect_py(a, b)

@@ -98,7 +98,7 @@ class TestSpillAccounting:
         res = simulate(
             g, "tt", FingersConfig(num_pes=1, private_cache_bytes=1 << 20)
         )
-        assert res.chip.combined.private_spills == 0
+        assert res.combined.private_spills == 0
 
     def test_spill_penalty_grows_cycles(self):
         g = erdos_renyi(60, 0.4, seed=77)

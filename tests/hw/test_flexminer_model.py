@@ -21,7 +21,7 @@ class TestInefficiency1Stalls:
             g, "tc", FlexMinerConfig(num_pes=1),
             memory=MemoryConfig(dram_latency=500), roots=roots,
         )
-        assert slow.chip.combined.stall_cycles > fast.chip.combined.stall_cycles
+        assert slow.combined.stall_cycles > fast.combined.stall_cycles
         assert slow.cycles > fast.cycles
 
     def test_resident_graph_stalls_less_than_missy_graph(self):
@@ -31,8 +31,8 @@ class TestInefficiency1Stalls:
                             roots=range(0, 950, 4))
         missy = simulate(pa_graph, "tc", FlexMinerConfig(num_pes=1),
                          roots=range(0, pa_graph.num_vertices, 16))
-        assert resident.chip.combined.stall_fraction \
-            < missy.chip.combined.stall_fraction
+        assert resident.combined.stall_fraction \
+            < missy.combined.stall_fraction
 
 
 class TestInefficiency2SerialOps:
@@ -42,7 +42,7 @@ class TestInefficiency2SerialOps:
 
         g = complete_graph(6)
         res = simulate(g, "tc", FlexMinerConfig(num_pes=1))
-        combined = res.chip.combined
+        combined = res.combined
         # Every task's compute = sum(|src| + |operand|) > 0, all serial.
         assert combined.compute_cycles > 0
         assert combined.iu_busy_cycles == 0  # no IU pool in FlexMiner
@@ -66,7 +66,7 @@ class TestInefficiency3Imbalance:
         g = star_graph(300)
         res = simulate(g, "wedge", FlexMinerConfig(num_pes=8))
         # The hub root's tree dwarfs every leaf-rooted tree.
-        busy = sorted((s.busy_cycles for s in res.chip.pe_stats), reverse=True)
+        busy = sorted((s.busy_cycles for s in res.units), reverse=True)
         others_avg = sum(busy[1:]) / len(busy[1:])
         assert busy[0] > 3 * others_avg
 

@@ -41,10 +41,10 @@ class TestMergedRoots:
         merged = simulate(SMALL, multi, FingersConfig(num_pes=1))
         tc = simulate(SMALL, "tc", FingersConfig(num_pes=1))
         wedge = simulate(SMALL, "wedge", FingersConfig(num_pes=1))
-        merged_fetches = merged.chip.combined.neighbor_fetches
+        merged_fetches = merged.combined.neighbor_fetches
         separate_fetches = (
-            tc.chip.combined.neighbor_fetches
-            + wedge.chip.combined.neighbor_fetches
+            tc.combined.neighbor_fetches
+            + wedge.combined.neighbor_fetches
         )
         # One shared root fetch instead of two.
         assert merged_fetches < separate_fetches

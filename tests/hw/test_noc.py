@@ -46,8 +46,8 @@ class TestNoCModel:
 class TestNoCIntegration:
     def test_default_noc_counted(self):
         res = simulate(SMALL, "tc", FingersConfig(num_pes=2))
-        assert res.chip.noc.transfers > 0
-        assert res.chip.noc.transfers == res.chip.combined.neighbor_fetches
+        assert res.noc.transfers > 0
+        assert res.noc.transfers == res.combined.neighbor_fetches
 
     def test_counts_invariant_under_noc(self):
         slow = MemoryConfig(noc=NoCConfig(latency_cycles=100, bytes_per_cycle=1))
@@ -70,4 +70,4 @@ class TestNoCIntegration:
         narrow = MemoryConfig(noc=NoCConfig(latency_cycles=4, bytes_per_cycle=2.0))
         res = simulate(g, "tc", FingersConfig(num_pes=8), memory=narrow,
                        roots=roots)
-        assert res.chip.noc.avg_queue_delay > 0
+        assert res.noc.avg_queue_delay > 0

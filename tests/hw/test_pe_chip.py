@@ -93,13 +93,13 @@ class TestTimingSanity:
         g = load_dataset("Pa")
         roots = list(range(0, g.num_vertices, 16))
         r = simulate(g, "tc", FlexMinerConfig(num_pes=1), roots=roots)
-        assert r.chip.combined.stall_fraction > 0.2
+        assert r.combined.stall_fraction > 0.2
 
     def test_load_imbalance_measurable(self):
         # One giant hub tree dominates: imbalance > 1 with many PEs.
         g = star_graph(200)
         r = simulate(g, "wedge", FingersConfig(num_pes=4))
-        assert r.chip.load_imbalance >= 1.0
+        assert r.load_imbalance >= 1.0
 
     def test_speedup_guard_rejects_mismatch(self):
         a = simulate(SMALL, "tc", FingersConfig(num_pes=1))
@@ -112,7 +112,7 @@ class TestStatsWellFormed:
     def test_rates_in_bounds(self):
         r = simulate(load_dataset("Mi"), "tt", FingersConfig(num_pes=1),
                      roots=range(0, 1500, 4))
-        combined = r.chip.combined
+        combined = r.combined
         assert 0 <= combined.active_rate(24) <= 1
         assert 0 <= combined.balance_rate <= 1
         assert combined.tasks > 0
@@ -120,20 +120,20 @@ class TestStatsWellFormed:
 
     def test_cache_stats_recorded(self):
         r = simulate(SMALL, "tc", FingersConfig(num_pes=2))
-        assert r.chip.shared_cache.accesses > 0
-        assert 0 <= r.chip.shared_cache.miss_rate <= 1
+        assert r.shared_cache.accesses > 0
+        assert 0 <= r.shared_cache.miss_rate <= 1
 
     def test_dram_stats_recorded(self):
         g = load_dataset("Pa")
         r = simulate(g, "tc", FingersConfig(num_pes=2),
                      roots=range(0, g.num_vertices, 16))
-        assert r.chip.dram.requests > 0
-        assert r.chip.dram.bytes_transferred > 0
+        assert r.dram.requests > 0
+        assert r.dram.bytes_transferred > 0
 
     def test_pe_finish_times(self):
         r = simulate(SMALL, "tc", FingersConfig(num_pes=3))
-        assert len(r.chip.pe_finish_times) == 3
-        assert max(r.chip.pe_finish_times) == r.cycles
+        assert len(r.unit_finish_times) == 3
+        assert max(r.unit_finish_times) == r.cycles
 
 
 class TestAutoGroupSize:
@@ -152,7 +152,7 @@ class TestAutoGroupSize:
     def test_explicit_override(self):
         cfg = FingersConfig(num_pes=1, task_group_size=5)
         r = simulate(SMALL, "tc", cfg)
-        assert r.chip.task_group_size == 5
+        assert r.task_group_size == 5
 
 
 class TestEdgeCases:

@@ -76,8 +76,8 @@ class TestOverflowPaths:
         a = simulate(g, "tt", roomy)
         b = simulate(g, "tt", tiny)
         assert a.count == b.count
-        assert b.chip.combined.private_spills > 0
-        assert a.chip.combined.private_spills == 0
+        assert b.combined.private_spills > 0
+        assert a.combined.private_spills == 0
         assert b.cycles >= a.cycles
 
     def test_list_larger_than_shared_cache(self):
@@ -87,7 +87,7 @@ class TestOverflowPaths:
         mem = MemoryConfig(shared_cache_bytes=4000)
         res = simulate(g, "wedge", FingersConfig(num_pes=1), memory=mem)
         assert res.count == 2000 * 1999 // 2
-        assert res.chip.shared_cache.miss_rate > 0
+        assert res.shared_cache.miss_rate > 0
 
     def test_flexminer_refetch_of_oversized_lists(self):
         """FlexMiner re-streams lists that exceed its private cache on
@@ -99,7 +99,7 @@ class TestOverflowPaths:
         b = simulate(g, "tt", large_private)
         assert a.count == b.count
         # More shared-cache traffic when the private cache cannot stage.
-        assert a.chip.shared_cache.accesses >= b.chip.shared_cache.accesses
+        assert a.shared_cache.accesses >= b.shared_cache.accesses
 
     def test_empty_candidate_sets_everywhere(self):
         """A graph with no triangles exercises empty-set op paths."""

@@ -66,6 +66,14 @@ class TestListCountConsistency:
         plan = plan_for("tc")
         assert len(list_embeddings(g, plan, limit=1)) == 1
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_limit_zero_and_negative_agree_across_jobs(self, jobs):
+        g = complete_graph(8)
+        plan = plan_for("tc")
+        assert list_embeddings(g, plan, limit=0, jobs=jobs) == []
+        with pytest.raises(ValueError, match="limit"):
+            list_embeddings(g, plan, limit=-1, jobs=jobs)
+
 
 class TestPerRoot:
     def test_yields_every_root(self, k5):

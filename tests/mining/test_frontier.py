@@ -115,13 +115,29 @@ class TestEdgeCases:
         assert np.array_equal(half, full[::2])
 
     @pytest.mark.parametrize("pattern", sorted(all_named_patterns()))
-    def test_batch_penultimate_off_matches(self, pattern):
+    def test_fused_terminal_iff_batchable(self, pattern):
+        """The fused terminal level runs exactly on chain-shaped
+        penultimate schedules, and either way the per-root counts equal
+        the recursive oracle's."""
         plan = compile_plan(named_pattern(pattern))
-        a = count_embeddings(
-            GRAPH, plan, kernels=_frontier(batch_penultimate=False)
-        )
-        b = count_embeddings(GRAPH, plan, kernels=RECURSIVE)
-        assert a == b
+        k = plan.num_levels
+        batchable = k >= 3 and plan.chain_info(k - 2).batchable
+        reset_kernel_counters()
+        fast = list(per_root_counts(GRAPH, plan, kernels=_frontier()))
+        fused = kernel_counters().get("frontier/fused_invocations", 0)
+        reset_kernel_counters()
+        assert (fused > 0) == batchable
+        assert fast == list(per_root_counts(GRAPH, plan, kernels=RECURSIVE))
+
+    @pytest.mark.parametrize("engine", ["frontier", "recursive"])
+    @pytest.mark.parametrize("root", [-1, -5, GRAPH.num_vertices])
+    def test_out_of_range_root_raises(self, engine, root):
+        plan = compile_plan(named_pattern("tc"))
+        with pytest.raises(IndexError, match=f"vertex {root} out of range"):
+            count_embeddings(
+                GRAPH, plan, roots=[0, root],
+                kernels=KernelPolicy(engine=engine),
+            )
 
 
 class TestSharedTrunk:

@@ -1,12 +1,12 @@
 """Agreement sweep: every kernel policy and engine counts identically.
 
 The dispatch layer's contract (docs/KERNELS.md) is that the execution
-engine (frontier vs recursive), kernel choice, hub bitmaps, and the
-penultimate batch counter are *functional-only*: for all 11 built-in
-patterns, both induced semantics, and any policy (forced kernels,
-shifted thresholds, aggressive hubs, batching off, tiny spill budgets)
-the counts — and the per-root count sequences — are bit-identical to
-the legacy merge-and-recurse configuration.
+engine (frontier vs recursive), kernel choice, and hub bitmaps are
+*functional-only*: for all 11 built-in patterns, both induced
+semantics, and any policy (forced kernels, shifted thresholds,
+aggressive hubs, tiny spill budgets) the counts — and the per-root
+count sequences — are bit-identical to the legacy merge-and-recurse
+configuration.
 """
 
 import pytest
@@ -23,9 +23,7 @@ from repro.setops.kernels import KernelPolicy
 
 #: The pre-kernel-layer execution shape: sort-based merges, per-child
 #: recursion at every level.
-LEGACY = KernelPolicy(
-    force_kernel="merge", batch_penultimate=False, engine="recursive"
-)
+LEGACY = KernelPolicy(force_kernel="merge", engine="recursive")
 
 POLICIES = {
     "default": None,
@@ -33,7 +31,6 @@ POLICIES = {
     "force-merge": KernelPolicy(force_kernel="merge", engine="recursive"),
     "force-gallop": KernelPolicy(force_kernel="gallop", engine="recursive"),
     "force-bitmap": KernelPolicy(force_kernel="bitmap", engine="recursive"),
-    "batch-off": KernelPolicy(batch_penultimate=False, engine="recursive"),
     "gallop-always": KernelPolicy(
         gallop_ratio=1.0, gallop_min_large=1, engine="recursive"
     ),
@@ -43,9 +40,6 @@ POLICIES = {
     ),
     "hubs-off": KernelPolicy(use_hub_bitmaps=False, engine="recursive"),
     "frontier": KernelPolicy(engine="frontier"),
-    "frontier-batch-off": KernelPolicy(
-        engine="frontier", batch_penultimate=False
-    ),
     "frontier-tiny-spill": KernelPolicy(
         engine="frontier", frontier_budget_bytes=1
     ),

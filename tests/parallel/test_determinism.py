@@ -6,8 +6,13 @@ and software results are compared within the sharded model, where
 docs/PARALLELISM.md).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.backend import get_backend
+from repro.core.result import merge_run_results
+from repro.core.sharded import run_sharded
 from repro.graph import erdos_renyi
 from repro.hw.api import (
     FingersConfig,
@@ -15,11 +20,11 @@ from repro.hw.api import (
     resolve_workload,
     simulate,
 )
-from repro.hw.chip import merge_chip_results, run_chip
+from repro.hw.chip import run_chip
 from repro.mining.api import count, embeddings, motif_census, plan_for
 from repro.mining.engine import count_embeddings, per_root_counts
-from repro.parallel import shard_roots, sharded_run_chip
-from repro.sw import SoftwareConfig, simulate_software
+from repro.parallel import shard_roots
+from repro.sw.config import SoftwareConfig
 
 JOBS = 4
 
@@ -71,28 +76,28 @@ class TestChipDeterminism:
         cfg = FingersConfig(num_pes=2)
         one = simulate(small_random, pattern, cfg, jobs=1)
         four = simulate(small_random, pattern, cfg, jobs=JOBS)
-        assert one.chip == four.chip  # dataclass equality: bit-for-bit
+        assert one == four  # dataclass equality: bit-for-bit
 
     def test_flexminer_design(self, small_random):
         cfg = FlexMinerConfig(num_pes=2)
         one = simulate(small_random, "tc", cfg, jobs=1)
         four = simulate(small_random, "tc", cfg, jobs=JOBS)
-        assert one.chip == four.chip
+        assert one == four
 
     def test_sharded_counts_match_unsharded(self, small_random):
         cfg = FingersConfig(num_pes=2)
         unsharded = simulate(small_random, "tc", cfg)
         sharded = simulate(small_random, "tc", cfg, jobs=JOBS)
         assert sharded.counts == unsharded.counts
-        assert unsharded.chip.num_shards == 1
-        assert sharded.chip.num_shards > 1
+        assert unsharded.num_shards == 1
+        assert sharded.num_shards > 1
 
     def test_explicit_shards_param(self, small_random):
         cfg = FingersConfig(num_pes=2)
         a = simulate(small_random, "tc", cfg, jobs=1, shards=5)
         b = simulate(small_random, "tc", cfg, jobs=JOBS, shards=5)
-        assert a.chip == b.chip
-        assert a.chip.num_shards == 5
+        assert a == b
+        assert a.num_shards == 5
 
     def test_manual_merge_equals_sharded_run(self, small_random):
         # The sharded model is BY DEFINITION: run each shard on a cold
@@ -100,14 +105,15 @@ class TestChipDeterminism:
         cfg = FingersConfig(num_pes=2)
         _, plans, _ = resolve_workload("tc")
         shards = shard_roots(small_random, None, 5)
-        manual = merge_chip_results(
+        manual = merge_run_results(
             [
                 run_chip(small_random, plans, cfg, roots=shard)
                 for shard in shards
             ]
         )
         via_api = simulate(small_random, "tc", cfg, jobs=1, shards=5)
-        assert via_api.chip == manual
+        # run_chip is component-level: no workload identity attached.
+        assert replace(via_api, workload="", pattern_names=()) == manual
 
     def test_merged_cycles_is_max_over_shards(self, small_random):
         cfg = FingersConfig(num_pes=2)
@@ -117,17 +123,18 @@ class TestChipDeterminism:
             run_chip(small_random, plans, cfg, roots=shard)
             for shard in shards
         ]
-        merged = merge_chip_results(parts)
+        merged = merge_run_results(parts)
         assert merged.cycles == max(p.cycles for p in parts)
         assert merged.num_shards == len(parts)
-        assert len(merged.pe_stats) == sum(len(p.pe_stats) for p in parts)
+        assert len(merged.units) == sum(len(p.units) for p in parts)
 
     def test_sharded_run_chip_single_shard_is_plain(self, small_random):
         cfg = FingersConfig(num_pes=2)
         _, plans, _ = resolve_workload("tc")
         plain = run_chip(small_random, plans, cfg)
-        sharded = sharded_run_chip(
-            small_random, plans, cfg, None, roots=None, jobs=1, num_shards=1
+        sharded = run_sharded(
+            get_backend("fingers"), small_random, plans, cfg,
+            jobs=1, num_shards=1,
         )
         assert sharded == plain
 
@@ -146,14 +153,14 @@ class TestChipDeterminism:
 class TestSoftwareDeterminism:
     def test_jobs1_equals_jobs4(self, small_random):
         cfg = SoftwareConfig(num_cores=2)
-        one = simulate_software(small_random, "tc", cfg, jobs=1)
-        four = simulate_software(small_random, "tc", cfg, jobs=JOBS)
+        one = simulate(small_random, "tc", cfg, jobs=1)
+        four = simulate(small_random, "tc", cfg, jobs=JOBS)
         assert one == four
 
     def test_counts_match_unsharded(self, small_random):
         cfg = SoftwareConfig(num_cores=2)
-        unsharded = simulate_software(small_random, "tc", cfg)
-        sharded = simulate_software(small_random, "tc", cfg, jobs=JOBS)
+        unsharded = simulate(small_random, "tc", cfg)
+        sharded = simulate(small_random, "tc", cfg, jobs=JOBS)
         assert sharded.counts == unsharded.counts
         assert sharded.num_shards > 1
         assert unsharded.num_shards == 1

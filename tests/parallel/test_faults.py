@@ -7,6 +7,7 @@ bit-identical to a fault-free run (docs/RESILIENCE.md).
 
 import os
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -80,6 +81,36 @@ class TestCrashRecovery:
         assert stats.pool_rebuilds >= 1
         assert stats.retries >= 1
         assert stats.exhausted == 0
+
+    def test_pool_breaking_during_submission_is_requeued(self, monkeypatch):
+        # A worker can die while later shards are still being submitted;
+        # ``submit`` on the broken pool then raises instead of returning
+        # a future.  Those shards must be requeued, not escape.
+        real = pool.ProcessPoolExecutor
+        pools = []
+
+        class BreaksAfterFirstSubmit(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+                self._submits = 0
+
+            def submit(self, *args, **kwargs):
+                self._submits += 1
+                if self is pools[0] and self._submits > 1:
+                    raise BrokenProcessPool("died during submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(
+            pool, "ProcessPoolExecutor", BreaksAfterFirstSubmit
+        )
+        stats = RetryStats()
+        out = run_shards(
+            _square_sum, 3, SHARDS, jobs=2, policy=FAST, stats=stats
+        )
+        assert out == run_shards(_square_sum, 3, SHARDS, jobs=1, policy=FAST)
+        assert len(pools) == 2
+        assert stats.pool_rebuilds == 1
 
     def test_injected_crash_plan_is_bit_identical(self):
         # seed=7 draws a crash for 3 of the 8 shard tokens at attempt 0

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.setops import (
-    aggregate_or,
-    intersect,
-    intersect_bitvector,
-    segmented_set_op,
-    subtract,
-)
+from repro.setops import aggregate_or, intersect_bitvector, segmented_set_op
+from repro.setops.merge import merge_intersect_py, merge_subtract_py
 
 sorted_sets = st.lists(
     st.integers(min_value=0, max_value=400), max_size=100, unique=True
@@ -74,13 +69,13 @@ class TestSegmentedEqualsMerge:
     @settings(max_examples=120, deadline=None)
     def test_intersection(self, a, b):
         got = segmented_set_op("intersect", arr(a), arr(b))
-        assert list(got) == list(intersect(arr(a), arr(b)))
+        assert list(got) == merge_intersect_py(a, b)
 
     @given(sorted_sets, sorted_sets)
     @settings(max_examples=120, deadline=None)
     def test_subtraction(self, a, b):
         got = segmented_set_op("subtract", arr(a), arr(b))
-        assert list(got) == list(subtract(arr(a), arr(b)))
+        assert list(got) == merge_subtract_py(a, b)
 
     @given(sorted_sets, sorted_sets)
     @settings(max_examples=60, deadline=None)
@@ -88,7 +83,7 @@ class TestSegmentedEqualsMerge:
         """Force a (long) − b (short): the pass-through flow."""
         a = sorted(set(a) | set(range(0, 200, 3)))  # make a the long one
         got = segmented_set_op("subtract", arr(a), arr(b))
-        assert list(got) == list(subtract(arr(a), arr(b)))
+        assert list(got) == merge_subtract_py(a, b)
 
     @given(sorted_sets, sorted_sets, st.integers(2, 9), st.integers(2, 9))
     @settings(max_examples=60, deadline=None)
@@ -96,7 +91,7 @@ class TestSegmentedEqualsMerge:
         got = segmented_set_op(
             "intersect", arr(a), arr(b), short_len=s_s, long_len=s_l
         )
-        assert list(got) == list(intersect(arr(a), arr(b)))
+        assert list(got) == merge_intersect_py(a, b)
 
     def test_unknown_op(self):
         with pytest.raises(ValueError):

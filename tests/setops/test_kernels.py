@@ -33,7 +33,7 @@ from repro.setops.kernels import (
     subtract_adaptive,
     unpack_bitmap,
 )
-from repro.setops.merge import apply_op, merge_intersect_py, merge_subtract_py
+from repro.setops.merge import merge_intersect_py, merge_subtract_py
 
 sorted_sets = st.lists(
     st.integers(min_value=0, max_value=300), max_size=60, unique=True
@@ -186,8 +186,13 @@ class TestKernelContext:
             ):
                 src = None if kind is OpKind.INIT_COPY else source
                 got = ctx.apply_op(kind, src, operand, vertex=v)
-                want = apply_op(kind, src, operand)
-                assert np.array_equal(got, want), (v, kind)
+                if kind is OpKind.INIT_COPY:
+                    want = list(operand)
+                elif kind is OpKind.INTERSECT:
+                    want = merge_intersect_py(list(src), list(operand))
+                else:
+                    want = merge_subtract_py(list(src), list(operand))
+                assert list(got) == want, (v, kind)
 
     def test_hub_bitmaps_actually_used(self):
         graph = self._graph()

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import star_graph
 from repro.pattern.plan import OpKind
-from repro.setops import (
-    apply_op,
-    exclude_values,
-    intersect,
-    lower_bound_filter,
-    subtract,
+from repro.setops import exclude_values, lower_bound_filter
+from repro.setops.kernels import (
+    KernelContext,
+    KernelPolicy,
+    merge_intersect,
+    merge_subtract,
 )
 from repro.setops.merge import merge_intersect_py, merge_subtract_py
 
@@ -24,19 +25,26 @@ def arr(values):
     return np.asarray(values, dtype=np.int32)
 
 
+#: Plan ops through the merge kernel (no operand vertex, so the graph's
+#: hub index is never consulted).
+apply_op = KernelContext(
+    star_graph(3), KernelPolicy(force_kernel="merge")
+).apply_op
+
+
 class TestBasics:
     def test_intersect(self):
-        assert list(intersect(arr([1, 3, 5]), arr([3, 4, 5]))) == [3, 5]
+        assert list(merge_intersect(arr([1, 3, 5]), arr([3, 4, 5]))) == [3, 5]
 
     def test_subtract(self):
-        assert list(subtract(arr([1, 3, 5]), arr([3]))) == [1, 5]
+        assert list(merge_subtract(arr([1, 3, 5]), arr([3]))) == [1, 5]
 
     def test_empty_cases(self):
         e = arr([])
-        assert intersect(e, arr([1])).size == 0
-        assert intersect(arr([1]), e).size == 0
-        assert subtract(e, arr([1])).size == 0
-        assert list(subtract(arr([1, 2]), e)) == [1, 2]
+        assert merge_intersect(e, arr([1])).size == 0
+        assert merge_intersect(arr([1]), e).size == 0
+        assert merge_subtract(e, arr([1])).size == 0
+        assert list(merge_subtract(arr([1, 2]), e)) == [1, 2]
 
     def test_apply_op_init(self):
         out = apply_op(OpKind.INIT_COPY, None, arr([4, 7]))
@@ -80,13 +88,13 @@ class TestProperties:
     @given(sorted_sets, sorted_sets)
     @settings(max_examples=200)
     def test_intersect_matches_python_sets(self, a, b):
-        got = list(intersect(arr(a), arr(b)))
+        got = list(merge_intersect(arr(a), arr(b)))
         assert got == sorted(set(a) & set(b))
 
     @given(sorted_sets, sorted_sets)
     @settings(max_examples=200)
     def test_subtract_matches_python_sets(self, a, b):
-        got = list(subtract(arr(a), arr(b)))
+        got = list(merge_subtract(arr(a), arr(b)))
         assert got == sorted(set(a) - set(b))
 
     @given(sorted_sets, sorted_sets)
@@ -98,20 +106,22 @@ class TestProperties:
     def test_subtract_identity(self, a, b):
         """A − B == A − (A ∩ B): the identity FINGERS hardware exploits."""
         a_, b_ = arr(a), arr(b)
-        direct = list(subtract(a_, b_))
-        via_intersect = list(subtract(a_, intersect(a_, b_)))
+        direct = list(merge_subtract(a_, b_))
+        via_intersect = list(merge_subtract(a_, merge_intersect(a_, b_)))
         assert direct == via_intersect
 
     @given(sorted_sets, sorted_sets, sorted_sets)
     def test_subtract_chain_is_intersection_of_differences(self, a, b, c):
         """A − B − C == (A − B) ∩ (A − C): the OR-aggregation identity."""
         a_, b_, c_ = arr(a), arr(b), arr(c)
-        chained = list(subtract(subtract(a_, b_), c_))
-        intersected = list(intersect(subtract(a_, b_), subtract(a_, c_)))
+        chained = list(merge_subtract(merge_subtract(a_, b_), c_))
+        intersected = list(
+            merge_intersect(merge_subtract(a_, b_), merge_subtract(a_, c_))
+        )
         assert chained == intersected
 
     @given(sorted_sets, sorted_sets)
     def test_results_sorted_unique(self, a, b):
-        for out in (intersect(arr(a), arr(b)), subtract(arr(a), arr(b))):
+        for out in (merge_intersect(arr(a), arr(b)), merge_subtract(arr(a), arr(b))):
             lst = list(out)
             assert lst == sorted(set(lst))

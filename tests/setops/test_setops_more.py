@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.setops import intersect, subtract, segmented_set_op
+from repro.setops import segmented_set_op
+from repro.setops.kernels import merge_intersect, merge_subtract
 from repro.setops.segments import head_list, segment_bounds
 
 sorted_sets = st.lists(
@@ -19,33 +20,35 @@ def arr(values):
 class TestAlgebra:
     @given(sorted_sets)
     def test_intersect_idempotent(self, a):
-        assert list(intersect(arr(a), arr(a))) == a
+        assert list(merge_intersect(arr(a), arr(a))) == a
 
     @given(sorted_sets)
     def test_subtract_self_empty(self, a):
-        assert subtract(arr(a), arr(a)).size == 0
+        assert merge_subtract(arr(a), arr(a)).size == 0
 
     @given(sorted_sets, sorted_sets)
     def test_intersect_commutative(self, a, b):
-        assert list(intersect(arr(a), arr(b))) == list(intersect(arr(b), arr(a)))
+        assert list(merge_intersect(arr(a), arr(b))) == list(
+            merge_intersect(arr(b), arr(a))
+        )
 
     @given(sorted_sets, sorted_sets, sorted_sets)
     @settings(max_examples=100)
     def test_intersect_associative(self, a, b, c):
-        left = intersect(intersect(arr(a), arr(b)), arr(c))
-        right = intersect(arr(a), intersect(arr(b), arr(c)))
+        left = merge_intersect(merge_intersect(arr(a), arr(b)), arr(c))
+        right = merge_intersect(arr(a), merge_intersect(arr(b), arr(c)))
         assert list(left) == list(right)
 
     @given(sorted_sets, sorted_sets)
     def test_partition_identity(self, a, b):
         """|A| == |A ∩ B| + |A − B|."""
         a_, b_ = arr(a), arr(b)
-        assert len(a) == intersect(a_, b_).size + subtract(a_, b_).size
+        assert len(a) == merge_intersect(a_, b_).size + merge_subtract(a_, b_).size
 
     @given(sorted_sets, sorted_sets)
     def test_results_never_grow(self, a, b):
-        assert intersect(arr(a), arr(b)).size <= min(len(a), len(b))
-        assert subtract(arr(a), arr(b)).size <= len(a)
+        assert merge_intersect(arr(a), arr(b)).size <= min(len(a), len(b))
+        assert merge_subtract(arr(a), arr(b)).size <= len(a)
 
 
 class TestSegmentHelpers:
@@ -68,4 +71,4 @@ class TestSegmentHelpers:
     def test_segmented_subtract_any_lengths(self, a, b, s_s, s_l):
         got = segmented_set_op("subtract", arr(a), arr(b),
                                short_len=s_s, long_len=s_l)
-        assert list(got) == list(subtract(arr(a), arr(b)))
+        assert list(got) == list(merge_subtract(arr(a), arr(b)))

@@ -14,7 +14,7 @@ from repro.mining import count, embeddings
 from repro.mining.engine import count_embeddings, list_embeddings
 from repro.mining.api import plan_for
 from repro.pattern import OpKind, compile_plan, named_pattern
-from repro.setops.merge import apply_op
+from repro.setops.kernels import merge_subtract
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ class TestFigure1Walkthrough:
         # with the injectivity filter at extension time.
         n_u0 = figure1_graph.neighbors(1)
         n_u1 = figure1_graph.neighbors(2)
-        s32 = apply_op(OpKind.SUBTRACT, n_u0, n_u1)
+        s32 = merge_subtract(n_u0, n_u1)
         assert list(s32) == [2, 3, 4]
         from repro.setops.merge import exclude_values
 
@@ -91,9 +91,9 @@ class TestFigure1Walkthrough:
         n_u0 = figure1_graph.neighbors(1)
         n_u1 = figure1_graph.neighbors(2)
         s32 = exclude_values(
-            apply_op(OpKind.SUBTRACT, n_u0, n_u1), [2]
+            merge_subtract(n_u0, n_u1), [2]
         )
-        s3 = apply_op(OpKind.SUBTRACT, s32, figure1_graph.neighbors(0))
+        s3 = merge_subtract(s32, figure1_graph.neighbors(0))
         assert list(s3) == [3, 4]
 
     def test_final_embeddings(self, figure1_graph):

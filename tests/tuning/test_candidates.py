@@ -67,7 +67,12 @@ def test_candidates_reject_tuned_policies():
 def test_policy_grid_contains_base_and_flipped_engine():
     grid = dict(policy_grid(KernelPolicy(), graph_signature(ER)))
     assert grid["base"] == KernelPolicy()
-    assert grid["recursive"].engine == "recursive"
+    # The recursive engine is the oracle: flipping only goes to frontier.
+    assert all(p.engine == "frontier" for p in grid.values())
+    recursive = KernelPolicy(engine="recursive")
+    grid = dict(policy_grid(recursive, graph_signature(ER)))
+    assert grid["base"] == recursive
+    assert grid["frontier"].engine == "frontier"
 
 
 def test_policy_grid_strips_the_tuned_flag():
