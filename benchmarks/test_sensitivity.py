@@ -12,7 +12,7 @@ def test_sensitivity_dram_latency(benchmark, publish):
         sensitivity_dram_latency, rounds=1, iterations=1, warmup_rounds=0
     )
     publish("sensitivity_dram_latency", result.render())
-    s = result.speedups
+    s = result.data
     # FINGERS wins at every latency.  The advantage is *stable* across a
     # 16x latency range: the task group pays one memory round-trip where
     # strict DFS pays one per task, so the ratio tracks the group size
@@ -26,7 +26,7 @@ def test_sensitivity_hit_latency(benchmark, publish):
         sensitivity_hit_latency, rounds=1, iterations=1, warmup_rounds=0
     )
     publish("sensitivity_hit_latency", result.render())
-    s = result.speedups
+    s = result.data
     assert all(v > 1.0 for v in s.values())
     # The conclusion is stable: no more than ~2.5x swing over a 16x
     # latency range on a cache-resident workload.
@@ -38,7 +38,7 @@ def test_sensitivity_noc_bandwidth(benchmark, publish):
         sensitivity_noc_bandwidth, rounds=1, iterations=1, warmup_rounds=0
     )
     publish("sensitivity_noc_bandwidth", result.render())
-    s = result.speedups
+    s = result.data
     assert all(v > 1.0 for v in s.values())
     # Ample NoC bandwidth is transparent: 64 vs 256 B/cycle barely moves.
     assert abs(s[256] - s[64]) / s[256] < 0.15

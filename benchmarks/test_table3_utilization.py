@@ -13,7 +13,7 @@ def test_table3_utilization(benchmark, publish):
     )
     publish("table3_utilization", result.render())
 
-    rows = result.rows
+    rows = result.data
     for pattern, (active, balance) in rows.items():
         assert 0.0 < active <= 1.0, pattern
         assert 0.3 < balance <= 1.0, pattern

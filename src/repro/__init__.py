@@ -58,12 +58,7 @@ def __getattr__(name):
     # Hardware-layer exports are resolved lazily so the pure-algorithm
     # stack can be imported without the hw package (and to keep import
     # time low for library-only users).
-    if name in (
-        "FingersConfig",
-        "FlexMinerConfig",
-        "simulate",
-        "speedup_grid",
-    ):
+    if name in ("FingersConfig", "FlexMinerConfig", "simulate"):
         from repro.hw import api as _hw_api
 
         return getattr(_hw_api, name)

@@ -16,34 +16,32 @@ from repro.bench.workloads import (
     BENCHMARK_GRAPHS,
     ROOT_STRIDE,
     roots_for,
-    workload_graphs,
 )
 from repro.bench.runner import (
-    PairResult,
     RunnerStats,
     configure,
     run_cached,
-    run_pair,
-    run_software_cached,
     runner_stats,
 )
 from repro.bench import experiments
-from repro.bench.report import format_table, format_grid, geometric_mean
+from repro.bench.report import (
+    TableResult,
+    format_table,
+    format_grid,
+    geometric_mean,
+)
 
 __all__ = [
     "BENCHMARK_PATTERNS",
     "BENCHMARK_GRAPHS",
     "ROOT_STRIDE",
     "roots_for",
-    "workload_graphs",
-    "run_pair",
     "run_cached",
-    "run_software_cached",
     "configure",
     "runner_stats",
     "RunnerStats",
-    "PairResult",
     "experiments",
+    "TableResult",
     "format_table",
     "format_grid",
     "geometric_mean",

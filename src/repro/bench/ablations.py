@@ -17,14 +17,15 @@ contribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.bench.report import format_table
+from repro.bench.report import TableResult
 from repro.bench.runner import run_cached
 from repro.bench.workloads import roots_for
 from repro.graph.datasets import load_dataset
-from repro.hw.api import FingersConfig
+from repro.hw.api import FingersConfig, FlexMinerConfig
+from repro.pattern.compiler import compile_plan
+from repro.pattern.pattern import named_pattern
 
 __all__ = [
     "ablation_scheduling",
@@ -36,52 +37,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AblationResult:
-    title: str
-    headers: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    data: dict
+def _sweep(
+    title: str,
+    headers: tuple[str, ...],
+    graph_name: str,
+    pattern: str,
+    values: Sequence,
+    point: Callable[[object], dict],
+    row: Callable[[object, object, str], tuple],
+) -> TableResult:
+    """One single-knob sweep of ``pattern`` on ``graph_name``.
 
-    def render(self) -> str:
-        return format_table(self.headers, self.rows, title=self.title)
+    ``point(value)`` gives the :func:`run_cached` keyword arguments
+    (``config``, optionally ``schedule``) of one swept value;
+    ``row(value, result, speedup)`` its printed cells, where ``speedup``
+    is the first point's cycles over this one's.  ``data`` maps each
+    value to its run result.
+    """
+    graph = load_dataset(graph_name)
+    roots = roots_for(graph_name, graph)
+    data = {}
+    rows = []
+    base = None
+    for value in values:
+        res = run_cached(graph, pattern, roots=roots, **point(value))
+        if base is None:
+            base = res.cycles
+        data[value] = res
+        rows.append(row(value, res, f"{base / res.cycles:.2f}"))
+    return TableResult(
+        title=title, headers=headers, rows=tuple(rows), data=data
+    )
+
+
+def _cycles(res) -> str:
+    return f"{res.cycles:,.0f}"
 
 
 def ablation_scheduling(
     graph_name: str = "Lj",
     pattern: str = "tc",
     num_pes: int = 8,
-) -> AblationResult:
+) -> TableResult:
     """Global root-scheduling policies on a power-law graph."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for policy in ("dynamic", "static_interleave", "static_block"):
-        res = run_cached(
-            graph, graph_name, pattern, FingersConfig(num_pes=num_pes),
-            None, roots, schedule=policy,
-        )
-        if base is None:
-            base = res.cycles
-        data[policy] = res
-        rows.append(
-            (
-                policy,
-                f"{res.cycles:,.0f}",
-                f"{base / res.cycles:.2f}",
-                f"{res.load_imbalance:.2f}",
-            )
-        )
-    return AblationResult(
-        title=(
-            f"Ablation: root scheduling policy ({pattern} on {graph_name}, "
-            f"{num_pes} PEs)"
+    return _sweep(
+        f"Ablation: root scheduling policy ({pattern} on {graph_name}, "
+        f"{num_pes} PEs)",
+        ("policy", "cycles", "speedup vs dynamic", "imbalance"),
+        graph_name, pattern,
+        ("dynamic", "static_interleave", "static_block"),
+        lambda policy: {
+            "config": FingersConfig(num_pes=num_pes), "schedule": policy,
+        },
+        lambda policy, res, speedup: (
+            policy, _cycles(res), speedup, f"{res.load_imbalance:.2f}",
         ),
-        headers=("policy", "cycles", "speedup vs dynamic", "imbalance"),
-        rows=tuple(rows),
-        data=data,
     )
 
 
@@ -89,28 +99,14 @@ def ablation_max_load(
     graph_name: str = "Or",
     pattern: str = "tt",
     values: Sequence[int] = (1, 2, 3, 6, 12),
-) -> AblationResult:
+) -> TableResult:
     """Task-divider max-load threshold (splitting granularity)."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for value in values:
-        res = run_cached(
-            graph, graph_name, pattern,
-            FingersConfig(num_pes=1, max_load=value),
-            None, roots,
-        )
-        if base is None:
-            base = res.cycles
-        data[value] = res
-        rows.append((value, f"{res.cycles:,.0f}", f"{base / res.cycles:.2f}"))
-    return AblationResult(
-        title=f"Ablation: divider max-load threshold ({pattern} on {graph_name})",
-        headers=("max_load", "cycles", "speedup vs max_load=1"),
-        rows=tuple(rows),
-        data=data,
+    return _sweep(
+        f"Ablation: divider max-load threshold ({pattern} on {graph_name})",
+        ("max_load", "cycles", "speedup vs max_load=1"),
+        graph_name, pattern, values,
+        lambda v: {"config": FingersConfig(num_pes=1, max_load=v)},
+        lambda v, res, speedup: (v, _cycles(res), speedup),
     )
 
 
@@ -118,28 +114,14 @@ def ablation_dividers(
     graph_name: str = "Or",
     pattern: str = "tt",
     values: Sequence[int] = (1, 3, 6, 12, 24),
-) -> AblationResult:
+) -> TableResult:
     """How many parallel task dividers one PE needs (default 12)."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for value in values:
-        res = run_cached(
-            graph, graph_name, pattern,
-            FingersConfig(num_pes=1, num_dividers=value),
-            None, roots,
-        )
-        if base is None:
-            base = res.cycles
-        data[value] = res
-        rows.append((value, f"{res.cycles:,.0f}", f"{base / res.cycles:.2f}"))
-    return AblationResult(
-        title=f"Ablation: task-divider count ({pattern} on {graph_name})",
-        headers=("dividers", "cycles", "speedup vs 1"),
-        rows=tuple(rows),
-        data=data,
+    return _sweep(
+        f"Ablation: task-divider count ({pattern} on {graph_name})",
+        ("dividers", "cycles", "speedup vs 1"),
+        graph_name, pattern, values,
+        lambda v: {"config": FingersConfig(num_pes=1, num_dividers=v)},
+        lambda v, res, speedup: (v, _cycles(res), speedup),
     )
 
 
@@ -147,43 +129,47 @@ def ablation_group_size(
     graph_name: str = "Pa",
     pattern: str = "tc",
     values: Sequence[int | None] = (1, 2, 4, 8, 16, None),
-) -> AblationResult:
+) -> TableResult:
     """Task-group size sweep (None = the paper's automatic policy)."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for value in values:
-        res = run_cached(
-            graph, graph_name, pattern,
-            FingersConfig(num_pes=1, task_group_size=value),
-            None, roots,
-        )
-        if base is None:
-            base = res.cycles
-        data[value] = res
-        label = "auto" if value is None else str(value)
-        rows.append(
-            (
-                label,
-                res.task_group_size,
-                f"{res.cycles:,.0f}",
-                f"{base / res.cycles:.2f}",
-            )
-        )
-    return AblationResult(
-        title=f"Ablation: task-group size ({pattern} on {graph_name})",
-        headers=("requested", "effective", "cycles", "speedup vs 1"),
-        rows=tuple(rows),
-        data=data,
+    return _sweep(
+        f"Ablation: task-group size ({pattern} on {graph_name})",
+        ("requested", "effective", "cycles", "speedup vs 1"),
+        graph_name, pattern, values,
+        lambda v: {"config": FingersConfig(num_pes=1, task_group_size=v)},
+        lambda v, res, speedup: (
+            "auto" if v is None else str(v), res.task_group_size,
+            _cycles(res), speedup,
+        ),
+    )
+
+
+def ablation_imbalance(
+    graph_name: str = "Lj",
+    pattern: str = "tc",
+    pe_counts: Sequence[int] = (1, 2, 4, 8, 16),
+) -> TableResult:
+    """Coarse-grained load imbalance vs PE count (paper section 2.3).
+
+    On power-law graphs the hub-rooted trees serialize; adding PEs stops
+    helping once the largest tree dominates — the motivation for strong
+    single-PE performance.
+    """
+    return _sweep(
+        f"Ablation: PE scaling and load imbalance ({pattern} on "
+        f"{graph_name})",
+        ("PEs", "cycles", "scaling vs 1 PE", "imbalance"),
+        graph_name, pattern, pe_counts,
+        lambda n: {"config": FingersConfig(num_pes=n)},
+        lambda n, res, speedup: (
+            n, _cycles(res), speedup, f"{res.load_imbalance:.2f}",
+        ),
     )
 
 
 def ablation_edge_induced(
     graph_name: str = "As",
     patterns: Sequence[str] = ("tt", "cyc", "dia"),
-) -> AblationResult:
+) -> TableResult:
     """Vertex- vs edge-induced semantics (paper section 2.1).
 
     Edge-induced plans drop the subtraction ops (no exact non-edge
@@ -192,10 +178,6 @@ def ablation_edge_induced(
     shrinks, while counts grow (more embeddings match).  Supporting both
     modes is the capability TrieJax lacks (section 2.2).
     """
-    from repro.hw.api import FlexMinerConfig
-    from repro.pattern.compiler import compile_plan
-    from repro.pattern.pattern import named_pattern
-
     graph = load_dataset(graph_name)
     roots = roots_for(graph_name, graph)
     data: dict = {}
@@ -206,65 +188,20 @@ def ablation_edge_induced(
             plan = compile_plan(
                 named_pattern(pattern), vertex_induced=vertex_induced
             )
-            fing = run_cached(
-                graph, graph_name, plan, FingersConfig(num_pes=1), None, roots
-            )
+            fing = run_cached(graph, plan, FingersConfig(num_pes=1), roots=roots)
             flex = run_cached(
-                graph, graph_name, plan, FlexMinerConfig(num_pes=1), None, roots
+                graph, plan, FlexMinerConfig(num_pes=1), roots=roots
             )
             mode = "vertex" if vertex_induced else "edge"
             data[(pattern, mode)] = (fing, flex)
             row.extend([f"{fing.count:,}", f"{fing.speedup_over(flex):.2f}"])
         rows.append(tuple(row))
-    return AblationResult(
+    return TableResult(
         title=f"Ablation: vertex- vs edge-induced semantics ({graph_name}, 1 PE)",
         headers=(
             "pattern", "v-induced count", "v-induced speedup",
             "e-induced count", "e-induced speedup",
         ),
-        rows=tuple(rows),
-        data=data,
-    )
-
-
-def ablation_imbalance(
-    graph_name: str = "Lj",
-    pattern: str = "tc",
-    pe_counts: Sequence[int] = (1, 2, 4, 8, 16),
-) -> AblationResult:
-    """Coarse-grained load imbalance vs PE count (paper section 2.3).
-
-    On power-law graphs the hub-rooted trees serialize; adding PEs stops
-    helping once the largest tree dominates — the motivation for strong
-    single-PE performance.
-    """
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for num_pes in pe_counts:
-        res = run_cached(
-            graph, graph_name, pattern, FingersConfig(num_pes=num_pes),
-            None, roots,
-        )
-        if base is None:
-            base = res.cycles
-        data[num_pes] = res
-        rows.append(
-            (
-                num_pes,
-                f"{res.cycles:,.0f}",
-                f"{base / res.cycles:.2f}",
-                f"{res.load_imbalance:.2f}",
-            )
-        )
-    return AblationResult(
-        title=(
-            f"Ablation: PE scaling and load imbalance ({pattern} on "
-            f"{graph_name})"
-        ),
-        headers=("PEs", "cycles", "scaling vs 1 PE", "imbalance"),
         rows=tuple(rows),
         data=data,
     )

@@ -8,11 +8,16 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bench.report import format_grid, format_table, geometric_mean
-from repro.bench.runner import run_cached, run_pair
+from repro.bench.report import (
+    TableResult,
+    format_grid,
+    format_table,
+    geometric_mean,
+)
+from repro.bench.runner import run_cached
 from repro.bench.workloads import (
     BENCHMARK_GRAPHS,
     BENCHMARK_PATTERNS,
@@ -47,27 +52,13 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table1Result:
-    rows: tuple[tuple, ...]
-
-    def render(self) -> str:
-        return format_table(
-            [
-                "Dataset", "#V", "#E", "AvgDeg", "MaxDeg",
-                "paper #V", "paper #E", "paper Avg", "paper Max",
-            ],
-            self.rows,
-            title="Table 1: evaluated graphs (analog vs paper original)",
-        )
-
-
-def table1() -> Table1Result:
+def table1() -> TableResult:
     """Dataset statistics, analog columns beside the paper's originals."""
     rows = []
+    data = {}
     for name in BENCHMARK_GRAPHS:
         spec = DATASET_SPECS[name]
-        s = graph_stats(load_dataset(name))
+        s = data[name] = graph_stats(load_dataset(name))
         rows.append(
             (
                 f"{spec.full_name} ({name})",
@@ -81,7 +72,15 @@ def table1() -> Table1Result:
                 spec.paper_max_deg,
             )
         )
-    return Table1Result(rows=tuple(rows))
+    return TableResult(
+        title="Table 1: evaluated graphs (analog vs paper original)",
+        headers=(
+            "Dataset", "#V", "#E", "AvgDeg", "MaxDeg",
+            "paper #V", "paper #E", "paper Avg", "paper Max",
+        ),
+        rows=tuple(rows),
+        data=data,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -173,20 +172,21 @@ class SpeedupGridResult:
 
 def _speedup_grid(
     title: str,
-    fingers: FingersConfig,
-    flexminer: FlexMinerConfig,
+    config: FingersConfig,
+    baseline: FingersConfig | FlexMinerConfig,
     patterns: Sequence[str],
     graphs: Sequence[str],
 ) -> SpeedupGridResult:
+    """Speedup of ``config`` over ``baseline`` per (pattern, graph), both
+    designs on identical roots."""
     grid = {}
     for gname in graphs:
         graph = load_dataset(gname)
         roots = roots_for(gname, graph)
         for pattern in patterns:
-            pair = run_pair(
-                graph, gname, pattern, fingers, flexminer, roots=roots
-            )
-            grid[(pattern, gname)] = pair.speedup
+            ours = run_cached(graph, pattern, config, roots=roots)
+            theirs = run_cached(graph, pattern, baseline, roots=roots)
+            grid[(pattern, gname)] = ours.speedup_over(theirs)
     return SpeedupGridResult(
         title=title,
         grid=grid,
@@ -244,26 +244,12 @@ def fig11(
     same PE with group size 1 (no branch-level parallelism).  Paper: up to
     5x, biggest for the clique patterns.
     """
-    patterns = patterns or BENCHMARK_PATTERNS
-    graphs = graphs or ["As", "Yo", "Lj"]
-    grid = {}
-    for gname in graphs:
-        graph = load_dataset(gname)
-        roots = roots_for(gname, graph)
-        for pattern in patterns:
-            on = run_cached(
-                graph, gname, pattern, FingersConfig(num_pes=1), None, roots
-            )
-            off = run_cached(
-                graph, gname, pattern,
-                FingersConfig(num_pes=1, task_group_size=1), None, roots,
-            )
-            grid[(pattern, gname)] = on.speedup_over(off)
-    return SpeedupGridResult(
-        title="Figure 11: speedup from branch-level parallelism (pseudo-DFS)",
-        grid=grid,
-        patterns=tuple(patterns),
-        graphs=tuple(graphs),
+    return _speedup_grid(
+        "Figure 11: speedup from branch-level parallelism (pseudo-DFS)",
+        FingersConfig(num_pes=1),
+        FingersConfig(num_pes=1, task_group_size=1),
+        patterns or BENCHMARK_PATTERNS,
+        graphs or ["As", "Yo", "Lj"],
     )
 
 
@@ -320,7 +306,7 @@ def fig12(
                 num_pes=1, num_ius=n,
                 long_segment_len=iso_area_segment_length(n),
             )
-            res = run_cached(graph, graph_name, pattern, cfg, None, roots)
+            res = run_cached(graph, pattern, cfg, roots=roots)
             if base is None:
                 base = res.cycles
                 bases[pattern] = base
@@ -333,7 +319,7 @@ def fig12(
     unlimited = "tt" if "tt" in patterns else patterns[0]
     for n in iu_counts:
         cfg = FingersConfig(num_pes=1, num_ius=n, long_segment_len=16)
-        res = run_cached(graph, graph_name, unlimited, cfg, None, roots)
+        res = run_cached(graph, unlimited, cfg, roots=roots)
         series[(f"{unlimited}-unlimited", n)] = bases[unlimited] / res.cycles
     return Fig12Result(
         graph=graph_name, iu_counts=tuple(iu_counts), series=series
@@ -387,10 +373,12 @@ def fig13(
                 int(cap * 1024 * 1024) // CACHE_SCALE
             )
             fing = run_cached(
-                graph, gname, pattern, FingersConfig(num_pes=20), mem, roots
+                graph, pattern, FingersConfig(num_pes=20),
+                memory=mem, roots=roots,
             )
             flex = run_cached(
-                graph, gname, pattern, FlexMinerConfig(num_pes=40), mem, roots
+                graph, pattern, FlexMinerConfig(num_pes=40),
+                memory=mem, roots=roots,
             )
             curves[(gname, "FINGERS", cap)] = fing.shared_cache.miss_rate
             curves[(gname, "FlexMiner", cap)] = flex.shared_cache.miss_rate
@@ -406,39 +394,32 @@ def fig13(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table3Result:
-    graph: str
-    rows: dict  # {pattern: (active_rate, balance_rate)}
-
-    def render(self) -> str:
-        patterns = list(self.rows)
-        return format_table(
-            ["metric"] + patterns,
-            [
-                ["Active Rate"]
-                + [f"{100 * self.rows[p][0]:.1f}%" for p in patterns],
-                ["Balance Rate"]
-                + [f"{100 * self.rows[p][1]:.1f}%" for p in patterns],
-            ],
-            title=f"Table 3: IU utilization and load balance in one PE ({self.graph})",
-        )
-
-
 def table3(
     patterns: Sequence[str] | None = None, graph_name: str = "Mi"
-) -> Table3Result:
-    """Table 3: active rate and balance rate per pattern on one PE."""
+) -> TableResult:
+    """Table 3: active rate and balance rate per pattern on one PE.
+
+    ``data`` maps each pattern to its ``(active_rate, balance_rate)``.
+    """
     patterns = list(patterns or BENCHMARK_PATTERNS)
     graph = load_dataset(graph_name)
     roots = roots_for(graph_name, graph)
     cfg = FingersConfig(num_pes=1)
-    rows = {}
+    data = {}
     for pattern in patterns:
-        res = run_cached(graph, graph_name, pattern, cfg, None, roots)
-        combined = res.combined
-        rows[pattern] = (
+        combined = run_cached(graph, pattern, cfg, roots=roots).combined
+        data[pattern] = (
             combined.active_rate(cfg.num_ius),
             combined.balance_rate,
         )
-    return Table3Result(graph=graph_name, rows=rows)
+    return TableResult(
+        title=(
+            f"Table 3: IU utilization and load balance in one PE ({graph_name})"
+        ),
+        headers=("metric", *patterns),
+        rows=(
+            ("Active Rate", *(f"{100 * data[p][0]:.1f}%" for p in patterns)),
+            ("Balance Rate", *(f"{100 * data[p][1]:.1f}%" for p in patterns)),
+        ),
+        data=data,
+    )

@@ -12,12 +12,11 @@ processes, so simulation results are memoized twice:
    signature, schedule, root-array hash, and execution model — so a
    warm ``python -m repro.bench`` sweep performs zero simulator calls.
 
-Every backend runs through the same :func:`run_backend_cached` path;
-``run_cached`` (configuration-dispatched) and ``run_software_cached``
-are thin front ends over it.  ``configure(jobs=..., disk_cache=...)``
-sets process-wide defaults (the CLI's ``--jobs`` / ``--no-cache`` flags
-land here); ``runner_stats()`` reports hit/miss/simulate counters for
-the run report.
+Every backend runs through :func:`run_cached`, which picks the backend
+from the configuration's type.  ``configure(jobs=..., disk_cache=...)``
+sets process-wide defaults (``python -m repro.bench``'s ``--jobs`` /
+``--no-cache`` flags land here); ``runner_stats()`` reports
+hit/miss/simulate counters for the run report.
 """
 
 from __future__ import annotations
@@ -26,18 +25,15 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.cache import default_cache
-from repro.core.backend import Backend, backend_for_config, get_backend
+from repro.core.backend import backend_for_config
 from repro.core.result import RunResult
+from repro.core.workload import Workload
 from repro.graph.csr import CSRGraph
-from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig
+from repro.hw.config import MemoryConfig
 
 __all__ = [
-    "PairResult",
     "RunnerStats",
-    "run_pair",
-    "run_backend_cached",
     "run_cached",
-    "run_software_cached",
     "clear_cache",
     "configure",
     "reset_stats",
@@ -91,20 +87,6 @@ def configure(*, jobs=_UNSET, disk_cache=_UNSET) -> None:
         _DISK_ENABLED = bool(disk_cache)
 
 
-@dataclass(frozen=True)
-class PairResult:
-    """One grid cell: a design run, its baseline run, and the speedup."""
-
-    workload: str
-    graph: str
-    ours: RunResult
-    baseline: RunResult
-
-    @property
-    def speedup(self) -> float:
-        return self.ours.speedup_over(self.baseline)
-
-
 def _cached(key: str, compute, use_disk: bool) -> RunResult:
     """Shared memo + disk lookup with stats accounting."""
     global _STATS
@@ -131,36 +113,34 @@ def _cached(key: str, compute, use_disk: bool) -> RunResult:
     return result
 
 
-def run_backend_cached(
-    backend: Backend | str,
+def run_cached(
     graph: CSRGraph,
-    graph_name: str,
-    workload,
-    config=None,
+    workload: Workload,
+    config,
     *,
     memory: MemoryConfig | None = None,
     roots: Iterable[int] | None = None,
     schedule: str = "dynamic",
-    jobs: int | None = None,
+    jobs=_UNSET,
     disk: bool | None = None,
 ) -> RunResult:
-    """Memoized ``backend.run(...)`` (memo + disk layers) for any backend.
+    """Memoized ``backend.run(...)`` (memo + disk layers); the backend is
+    selected by the configuration's type through the registry.
 
-    ``graph_name`` is only a label; the cache key uses the graph's full
-    content fingerprint (via :meth:`Backend.cache_key`), so renamed or
-    regenerated-but-identical graphs behave correctly.  ``jobs``/``disk``
-    default to the process-wide settings installed by :func:`configure`.
-    The execution model is part of the result's identity: the sharded
-    model's cycle count differs from the single-chip model's, but does
-    NOT depend on the worker count (docs/PARALLELISM.md), so the key
-    only distinguishes sharded vs. unsharded.
+    The cache key uses the graph's full content fingerprint (via
+    :meth:`Backend.cache_key`), so renamed or regenerated-but-identical
+    graphs behave correctly.  ``jobs`` defaults to the process-wide
+    setting installed by :func:`configure`; an explicit ``None`` always
+    selects the single-chip model.  ``disk=None`` likewise defers to
+    :func:`configure`.  The execution model is part of the result's
+    identity: the sharded model's cycle count differs from the
+    single-chip model's, but does NOT depend on the worker count
+    (docs/PARALLELISM.md), so the key only distinguishes sharded vs.
+    unsharded.
     """
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    if config is None:
-        config = backend.default_config()
+    backend = backend_for_config(config)
     roots_list = list(roots) if roots is not None else None
-    eff_jobs = jobs if jobs is not None else _DEFAULT_JOBS
+    eff_jobs = _DEFAULT_JOBS if jobs is _UNSET else jobs
     use_disk = _DISK_ENABLED if disk is None else disk
     key = backend.cache_key(
         graph, workload, config,
@@ -177,69 +157,7 @@ def run_backend_cached(
     )
 
 
-def run_cached(
-    graph: CSRGraph,
-    graph_name: str,
-    workload: str,
-    config: FingersConfig | FlexMinerConfig,
-    memory: MemoryConfig | None = None,
-    roots: Iterable[int] | None = None,
-    *,
-    schedule: str = "dynamic",
-    jobs: int | None = None,
-    disk: bool | None = None,
-) -> RunResult:
-    """Memoized :func:`repro.hw.api.simulate`: the backend is selected by
-    the configuration's type through the registry."""
-    return run_backend_cached(
-        backend_for_config(config), graph, graph_name, workload, config,
-        memory=memory, roots=roots, schedule=schedule, jobs=jobs, disk=disk,
-    )
-
-
-def run_software_cached(
-    graph: CSRGraph,
-    graph_name: str,
-    workload,
-    config,
-    roots: Iterable[int] | None = None,
-    *,
-    jobs: int | None = None,
-    disk: bool | None = None,
-) -> RunResult:
-    """Memoized software-model run — same cache layers, key scheme, and
-    stats accounting as :func:`run_cached`."""
-    return run_backend_cached(
-        "software", graph, graph_name, workload, config,
-        roots=roots, jobs=jobs, disk=disk,
-    )
-
-
 def clear_cache() -> None:
     """Drop the in-process memo (the disk cache is managed separately via
     :mod:`repro.cache` / ``python -m repro cache clear``)."""
     _MEMO.clear()
-
-
-def run_pair(
-    graph: CSRGraph,
-    graph_name: str,
-    workload: str,
-    config: FingersConfig | FlexMinerConfig,
-    baseline: FingersConfig | FlexMinerConfig,
-    *,
-    memory: MemoryConfig | None = None,
-    roots: Iterable[int] | None = None,
-    jobs: int | None = None,
-) -> PairResult:
-    """Run one workload on two designs over identical roots."""
-    roots_list = list(roots) if roots is not None else None
-    ours = run_cached(
-        graph, graph_name, workload, config, memory, roots_list, jobs=jobs
-    )
-    theirs = run_cached(
-        graph, graph_name, workload, baseline, memory, roots_list, jobs=jobs
-    )
-    return PairResult(
-        workload=workload, graph=graph_name, ours=ours, baseline=theirs
-    )

@@ -15,10 +15,10 @@ direction the mechanism predicts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
-from repro.bench.report import format_table
+from repro.bench.report import TableResult
 from repro.bench.runner import run_cached
 from repro.bench.workloads import roots_for
 from repro.graph.datasets import load_dataset
@@ -26,22 +26,10 @@ from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig
 from repro.hw.noc import NoCConfig
 
 __all__ = [
-    "SensitivityResult",
     "sensitivity_dram_latency",
     "sensitivity_hit_latency",
     "sensitivity_noc_bandwidth",
 ]
-
-
-@dataclass(frozen=True)
-class SensitivityResult:
-    title: str
-    headers: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    speedups: dict
-
-    def render(self) -> str:
-        return format_table(self.headers, self.rows, title=self.title)
 
 
 def _sweep(
@@ -51,7 +39,9 @@ def _sweep(
     make_memory,
     graph_name: str,
     pattern: str,
-) -> SensitivityResult:
+) -> TableResult:
+    """Single-PE FINGERS vs FlexMiner at each memory-model value;
+    ``data`` maps each value to the speedup."""
     graph = load_dataset(graph_name)
     roots = roots_for(graph_name, graph)
     speedups: dict = {}
@@ -59,10 +49,10 @@ def _sweep(
     for value in values:
         mem = make_memory(value)
         fing = run_cached(
-            graph, graph_name, pattern, FingersConfig(num_pes=1), mem, roots
+            graph, pattern, FingersConfig(num_pes=1), memory=mem, roots=roots
         )
         flex = run_cached(
-            graph, graph_name, pattern, FlexMinerConfig(num_pes=1), mem, roots
+            graph, pattern, FlexMinerConfig(num_pes=1), memory=mem, roots=roots
         )
         speedup = fing.speedup_over(flex)
         speedups[value] = speedup
@@ -74,11 +64,11 @@ def _sweep(
                 f"{speedup:.2f}",
             )
         )
-    return SensitivityResult(
+    return TableResult(
         title=title,
         headers=(param_name, "FINGERS cycles", "FlexMiner cycles", "speedup"),
         rows=tuple(rows),
-        speedups=speedups,
+        data=speedups,
     )
 
 
@@ -86,7 +76,7 @@ def sensitivity_dram_latency(
     latencies: Sequence[int] = (50, 100, 200, 400, 800),
     graph_name: str = "Pa",
     pattern: str = "tc",
-) -> SensitivityResult:
+) -> TableResult:
     """Single-PE speedup vs DRAM latency on a memory-bound job."""
     return _sweep(
         f"Sensitivity: DRAM latency ({pattern} on {graph_name}, 1 PE)",
@@ -102,7 +92,7 @@ def sensitivity_hit_latency(
     latencies: Sequence[int] = (2, 4, 8, 16, 32),
     graph_name: str = "As",
     pattern: str = "tc",
-) -> SensitivityResult:
+) -> TableResult:
     """Single-PE speedup vs shared-cache hit latency (cache-resident job)."""
     return _sweep(
         f"Sensitivity: shared-cache hit latency ({pattern} on {graph_name})",
@@ -118,7 +108,7 @@ def sensitivity_noc_bandwidth(
     bandwidths: Sequence[float] = (1, 4, 16, 64, 256),
     graph_name: str = "Or",
     pattern: str = "tc",
-) -> SensitivityResult:
+) -> TableResult:
     """Single-PE speedup vs NoC bandwidth (bytes/cycle)."""
     return _sweep(
         f"Sensitivity: NoC bandwidth ({pattern} on {graph_name})",

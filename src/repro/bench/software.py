@@ -14,35 +14,23 @@ Two questions the paper raises but defers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bench.report import format_table
-from repro.bench.runner import run_cached, run_software_cached
+from repro.bench.report import TableResult
+from repro.bench.runner import run_cached
 from repro.bench.workloads import roots_for
 from repro.graph.datasets import load_dataset
 from repro.hw.api import FingersConfig, FlexMinerConfig
 from repro.sw.config import SoftwareConfig
 
-__all__ = ["software_comparison", "software_scaling", "SoftwareBenchResult"]
-
-
-@dataclass(frozen=True)
-class SoftwareBenchResult:
-    title: str
-    headers: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    data: dict
-
-    def render(self) -> str:
-        return format_table(self.headers, self.rows, title=self.title)
+__all__ = ["software_comparison", "software_scaling"]
 
 
 def software_scaling(
     graph_name: str = "Lj",
     pattern: str = "tc",
     core_counts: Sequence[int] = (1, 2, 4, 8, 16),
-) -> SoftwareBenchResult:
+) -> TableResult:
     """Core scaling: tree vs branch granularity on a power-law graph."""
     graph = load_dataset(graph_name)
     roots = roots_for(graph_name, graph)
@@ -53,13 +41,13 @@ def software_scaling(
         row = [cores]
         for gran in ("tree", "branch"):
             cfg = SoftwareConfig(num_cores=cores, granularity=gran)
-            res = run_software_cached(graph, graph_name, pattern, cfg, roots)
+            res = run_cached(graph, pattern, cfg, roots=roots)
             data[(gran, cores)] = res
             if base is None:
                 base = res.cycles
             row.extend([f"{base / res.cycles:.2f}", f"{res.load_imbalance:.2f}"])
         rows.append(tuple(row))
-    return SoftwareBenchResult(
+    return TableResult(
         title=(
             f"Software scaling ({pattern} on {graph_name}): tree vs "
             "branch granularity (speedup over 1 core / load imbalance)"
@@ -73,7 +61,7 @@ def software_scaling(
 def software_comparison(
     graph_name: str = "Mi",
     pattern: str = "tc",
-) -> SoftwareBenchResult:
+) -> TableResult:
     """Wall-clock comparison: 16-core CPU vs the two accelerator chips."""
     graph = load_dataset(graph_name)
     roots = roots_for(graph_name, graph)
@@ -81,17 +69,17 @@ def software_comparison(
     rows = []
 
     sw_cfg = SoftwareConfig(num_cores=16, granularity="branch")
-    sw = run_software_cached(graph, graph_name, pattern, sw_cfg, roots)
+    sw = run_cached(graph, pattern, sw_cfg, roots=roots)
     sw_time = sw.cycles / sw_cfg.frequency_ghz
     data["software"] = sw
 
     flex_cfg = FlexMinerConfig(num_pes=40)
-    flex = run_cached(graph, graph_name, pattern, flex_cfg, None, roots)
+    flex = run_cached(graph, pattern, flex_cfg, roots=roots)
     flex_time = flex.cycles / flex_cfg.frequency_ghz
     data["flexminer"] = flex
 
     fing_cfg = FingersConfig(num_pes=20)
-    fing = run_cached(graph, graph_name, pattern, fing_cfg, None, roots)
+    fing = run_cached(graph, pattern, fing_cfg, roots=roots)
     fing_time = fing.cycles / fing_cfg.frequency_ghz
     data["fingers"] = fing
 
@@ -109,7 +97,7 @@ def software_comparison(
                 f"{sw_time / time:.1f}",
             )
         )
-    return SoftwareBenchResult(
+    return TableResult(
         title=(
             f"Accelerators vs software ({pattern} on {graph_name}; "
             "time in ns at each design's clock)"

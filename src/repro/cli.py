@@ -10,8 +10,6 @@ Subcommands
 ``backends``   List registered execution backends and their config types.
 ``validate``   Cross-check every backend's count on one job.
 ``compare``    Both accelerator designs on one job, with the speedup.
-``bench``      Run one named experiment (table1 ... fig13, table3,
-               ablation-*) and print the paper-shaped output.
 ``cache``      Inspect or clear the persistent result cache.
 ``exp``        Experiment platform: run declarative sweeps into the
                result store, generate reports, diff runs against
@@ -21,7 +19,7 @@ Subcommands
 ``tune``       Measure and persist the tuned plan/policy choice for one
                (pattern, graph) cell (docs/TUNING.md).
 
-``count``, ``simulate``, ``compare``, and ``bench`` accept ``--jobs N``
+``count``, ``simulate``, and ``compare`` accept ``--jobs N``
 (shard search-tree roots over N worker processes; results are identical
 for every N — see docs/PARALLELISM.md) and ``--no-cache`` (bypass the
 persistent result cache in ``REPRO_CACHE_DIR``/``~/.cache/repro``).
@@ -32,7 +30,6 @@ Examples::
     python -m repro count tc --dataset Mi --jobs 8
     python -m repro plan tt
     python -m repro compare cyc --dataset As --pes 1 --jobs 4
-    python -m repro bench table2
     python -m repro tune tt --dataset Mi
     python -m repro exp run examples/sweeps/smoke.toml
     python -m repro exp report smoke
@@ -88,16 +85,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_no_cache_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the persistent result cache",
+    )
+
+
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="N",
         help="shard roots over N worker processes (results identical "
              "for every N; see docs/PARALLELISM.md)",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent result cache",
-    )
+    _add_no_cache_arg(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,19 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--pes", type=int, default=1, help="FINGERS PEs (baseline x2)")
     p.add_argument("--root-stride", type=int, default=1)
-    _add_parallel_args(p)
-
-    p = sub.add_parser("bench", help="run one named experiment")
-    p.add_argument(
-        "experiment",
-        choices=[
-            "table1", "table2", "fig9", "fig10", "fig11", "fig12", "fig13",
-            "table3", "ablation-scheduling", "ablation-max-load",
-            "ablation-dividers", "ablation-group-size", "ablation-imbalance",
-            "software-scaling", "software-comparison",
-            "sensitivity-dram", "sensitivity-hit", "sensitivity-noc",
-        ],
-    )
     _add_parallel_args(p)
 
     sub.add_parser(
@@ -293,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort the sweep at the first failing cell instead of "
              "recording a structured failure row",
     )
-    _add_parallel_args(q)
+    _add_no_cache_arg(q)
 
     q = exp_sub.add_parser(
         "report", help="render a stored run as markdown + HTML"
@@ -419,7 +407,7 @@ def _cmd_motifs(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.bench.runner import run_backend_cached
+    from repro.bench.runner import run_cached
     from repro.core.backend import get_backend
 
     backend = get_backend(args.design)
@@ -448,8 +436,8 @@ def _cmd_simulate(args) -> int:
             print(line)
         print(render_gantt(tracer))
         return 0
-    res = run_backend_cached(
-        backend, graph, _graph_label(args), args.pattern, config,
+    res = run_cached(
+        graph, args.pattern, config,
         roots=roots, schedule=args.schedule, jobs=args.jobs,
         disk=not args.no_cache,
     )
@@ -542,15 +530,14 @@ def _cmd_compare(args) -> int:
     from repro.hw.api import FingersConfig, FlexMinerConfig
 
     graph = _load_graph(args)
-    label = _graph_label(args)
     roots = list(range(0, graph.num_vertices, args.root_stride))
     fingers = run_cached(
-        graph, label, args.pattern, FingersConfig(num_pes=args.pes),
-        None, roots, jobs=args.jobs, disk=not args.no_cache,
+        graph, args.pattern, FingersConfig(num_pes=args.pes),
+        roots=roots, jobs=args.jobs, disk=not args.no_cache,
     )
     flex = run_cached(
-        graph, label, args.pattern, FlexMinerConfig(num_pes=2 * args.pes),
-        None, roots, jobs=args.jobs, disk=not args.no_cache,
+        graph, args.pattern, FlexMinerConfig(num_pes=2 * args.pes),
+        roots=roots, jobs=args.jobs, disk=not args.no_cache,
     )
     print(f"count: {fingers.count:,}")
     print(f"FINGERS   ({args.pes:3d} PEs): {fingers.cycles:14,.0f} cycles")
@@ -754,51 +741,6 @@ def _cmd_lint_plan(args) -> int:
     return 1 if bad else 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import ablations, experiments
-    from repro.bench import runner as _runner
-
-    _runner.configure(jobs=args.jobs, disk_cache=not args.no_cache)
-    _runner.reset_stats()
-
-    runners = {
-        "table1": experiments.table1,
-        "table2": experiments.table2,
-        "fig9": experiments.fig9,
-        "fig10": experiments.fig10,
-        "fig11": experiments.fig11,
-        "fig12": experiments.fig12,
-        "fig13": experiments.fig13,
-        "table3": experiments.table3,
-        "ablation-scheduling": ablations.ablation_scheduling,
-        "ablation-max-load": ablations.ablation_max_load,
-        "ablation-dividers": ablations.ablation_dividers,
-        "ablation-group-size": ablations.ablation_group_size,
-        "ablation-imbalance": ablations.ablation_imbalance,
-    }
-    from repro.bench.sensitivity import (
-        sensitivity_dram_latency,
-        sensitivity_hit_latency,
-        sensitivity_noc_bandwidth,
-    )
-    from repro.bench.software import software_comparison, software_scaling
-
-    runners.update({
-        "software-scaling": software_scaling,
-        "software-comparison": software_comparison,
-        "sensitivity-dram": sensitivity_dram_latency,
-        "sensitivity-hit": sensitivity_hit_latency,
-        "sensitivity-noc": sensitivity_noc_bandwidth,
-    })
-    print(runners[args.experiment]().render())
-    stats = _runner.runner_stats()
-    print(
-        f"run cache: {stats.memo_hits} memo hits, {stats.disk_hits} disk "
-        f"hits, {stats.simulate_calls} simulator calls"
-    )
-    return 0
-
-
 def _cmd_exp(args) -> int:
     from repro.experiments import (
         ResultStore,
@@ -819,7 +761,7 @@ def _cmd_exp(args) -> int:
         except (SpecError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        _runner.configure(jobs=args.jobs, disk_cache=not args.no_cache)
+        _runner.configure(disk_cache=not args.no_cache)
 
         def progress(cell, action):
             print(f"  [{action:6s}] {cell.label}")
@@ -903,7 +845,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "validate": _cmd_validate,
     "compare": _cmd_compare,
-    "bench": _cmd_bench,
     "backends": _cmd_backends,
     "tune": _cmd_tune,
     "cache": _cmd_cache,

@@ -1,8 +1,8 @@
 """Resumable sweep executor.
 
 Drives every cell of an expanded sweep through the registry's cached
-runner (:func:`repro.bench.runner.run_backend_cached`) — the exact same
-code path as ``python -m repro.bench`` and the single-run CLI — and
+runner (:func:`repro.bench.runner.run_cached`) — the exact same code
+path as ``python -m repro.bench`` and the single-run CLI — and
 appends one :class:`~repro.experiments.store.ResultRow` per executed
 cell.  Resumption is keyed on :meth:`Backend.cache_key`: a cell whose
 full cache identity (graph contents, config signature, schedule, roots,
@@ -38,7 +38,7 @@ from datetime import datetime, timezone
 from typing import Callable, Mapping
 
 from repro import sanitize as _sanitize
-from repro.bench.runner import run_backend_cached, runner_stats
+from repro.bench.runner import run_cached, runner_stats
 from repro.bench.workloads import roots_for
 from repro.core.backend import Backend, config_signature, get_backend
 from repro.core.provenance import environment_provenance
@@ -240,8 +240,10 @@ def run_sweep(
                 faults.inject("cell", cell_key, attempt)
             if sanitizing:
                 sanitized_cell_check(backend, graph, cell, config, roots)
-            result = run_backend_cached(
-                backend, graph, cell.graph, cell.pattern, config,
+            # The cell's own jobs axis picks its model, never the
+            # process-wide default: the row is keyed by ``cell_key``.
+            result = run_cached(
+                graph, cell.pattern, config,
                 roots=roots, schedule=cell.schedule, jobs=cell.jobs,
                 disk=disk,
             )

@@ -1,12 +1,12 @@
 """The schema'd result store: versioned JSONL, one file per run.
 
-Every measurement the experiment executor (or the legacy-results
-migration) produces becomes one :class:`ResultRow` appended to
-``<store>/<run>.jsonl``.  Rows are self-describing: each line carries
-``schema`` (:data:`STORE_SCHEMA_VERSION`) plus full provenance — git
-hash, config signature, hostname, python/numpy versions, timestamp — so
-any number in a generated report traces back to the commit and machine
-that produced it (docs/BENCHMARKS.md, "Row schema").
+Every measurement the experiment executor produces becomes one
+:class:`ResultRow` appended to ``<store>/<run>.jsonl``.  Rows are
+self-describing: each line carries ``schema``
+(:data:`STORE_SCHEMA_VERSION`) plus full provenance — git hash, config
+signature, hostname, python/numpy versions, timestamp — so any number
+in a generated report traces back to the commit and machine that
+produced it (docs/BENCHMARKS.md, "Row schema").
 
 Append-only JSONL keeps the store diff-friendly in git and makes the
 executor interrupt-safe: a killed sweep has complete rows for every

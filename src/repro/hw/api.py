@@ -1,4 +1,4 @@
-"""Front door of the hardware layer: ``simulate`` and ``speedup_grid``.
+"""Front door of the hardware layer: ``simulate``.
 
 ``simulate`` accepts a graph, a workload (pattern object, benchmark name
 — including the multi-pattern ``"3mc"`` — or a pre-compiled plan), and a
@@ -10,7 +10,7 @@ module contains no per-design dispatch.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.backend import backend_for_config
 from repro.core.result import RunResult
@@ -20,7 +20,6 @@ from repro.hw.config import FingersConfig, FlexMinerConfig, MemoryConfig
 
 __all__ = [
     "simulate",
-    "speedup_grid",
     "resolve_workload",
     "FingersConfig",
     "FlexMinerConfig",
@@ -66,37 +65,3 @@ def simulate(
         jobs=jobs, shards=shards,
     )
 
-
-def speedup_grid(
-    graphs: dict[str, CSRGraph],
-    workloads: Sequence[Workload],
-    config: FingersConfig | FlexMinerConfig,
-    baseline: FingersConfig | FlexMinerConfig,
-    *,
-    memory: MemoryConfig | None = None,
-    roots_for: dict[str, Iterable[int]] | None = None,
-    jobs: int | None = None,
-) -> dict[tuple[str, str], float]:
-    """Speedups of ``config`` over ``baseline`` for every (pattern, graph).
-
-    This is the shape of the paper's Figures 9 and 10: a
-    ``{(workload, graph): speedup}`` mapping, computed with identical
-    roots for both designs.  ``jobs`` runs both designs under the
-    sharded model on that many worker processes (identical shards on
-    both sides, so ratios stay apples-to-apples).
-    """
-    out: dict[tuple[str, str], float] = {}
-    for workload in workloads:
-        for gname, graph in graphs.items():
-            roots = None
-            if roots_for and gname in roots_for:
-                roots = list(roots_for[gname])
-            ours = simulate(
-                graph, workload, config, memory=memory, roots=roots, jobs=jobs
-            )
-            theirs = simulate(
-                graph, workload, baseline, memory=memory, roots=roots,
-                jobs=jobs,
-            )
-            out[(ours.workload, gname)] = ours.speedup_over(theirs)
-    return out

@@ -13,10 +13,11 @@ grid"):
   necessary condition for per-root attribution to survive the reorder
   (trials verify the sufficient one).
 * **Policies** — a small grid seeded from the caller's base policy: the
-  base itself, the frontier engine when the base is recursive, an
-  eager-gallop variant, and signature-gated variants (a raised
-  segment-bitmap budget when the dense adjacency bitmap *almost* fits,
-  eager hub bitmaps when the graph carries real hub mass).
+  base itself, a raised segment-bitmap budget when the dense adjacency
+  bitmap *almost* fits, and — only when the base is recursive, since
+  the frontier engine never reads the gallop or hub fields — the
+  frontier engine, an eager-gallop variant, and eager hub bitmaps when
+  the graph carries real hub mass.
 
 The reference candidate — the caller's own plan and base policy — is
 always first: trials compare everything against it, and the tuner can
@@ -85,11 +86,15 @@ def policy_grid(
     """The labeled policy variants seeded from ``base`` (concrete)."""
     base = replace(base, tuned=False)
     grid: list[tuple[str, KernelPolicy]] = [("base", base)]
-    if base.engine == "recursive":
+    # The gallop and hub variants change only fields the frontier engine
+    # never reads: under a frontier base they would trial the same
+    # program twice and pick between the copies by timing noise.
+    recursive = base.engine == "recursive"
+    if recursive:
         # The recursive engine is the unbatched oracle: worth offering
         # its replacement, never worth trialing as a replacement.
         grid.append(("frontier", replace(base, engine="frontier")))
-    if base.force_kernel is None:
+    if recursive and base.force_kernel is None:
         grid.append((
             "gallop-eager",
             replace(base, gallop_ratio=max(2.0, base.gallop_ratio / 2.0),
@@ -104,7 +109,7 @@ def policy_grid(
             "bitmap-budget",
             replace(base, segment_bitmap_bytes=signature.bitmap_fit_bytes),
         ))
-    if base.use_hub_bitmaps and signature.hub_mass >= 0.05:
+    if recursive and base.use_hub_bitmaps and signature.hub_mass >= 0.05:
         grid.append((
             "hubs-eager",
             replace(base, hub_min_degree=max(16, base.hub_min_degree // 4),

@@ -8,10 +8,15 @@ import pytest
 
 from repro.bench import experiments
 from repro.bench.ablations import (
+    ablation_dividers,
+    ablation_edge_induced,
     ablation_group_size,
+    ablation_imbalance,
+    ablation_max_load,
     ablation_scheduling,
 )
 from repro.bench.runner import clear_cache
+from repro.bench.software import software_comparison
 
 
 @pytest.fixture(autouse=True)
@@ -36,8 +41,8 @@ class TestTableExperiments:
 
     def test_table3_reduced(self):
         result = experiments.table3(patterns=["tc", "tt"], graph_name="As")
-        assert set(result.rows) == {"tc", "tt"}
-        for active, balance in result.rows.values():
+        assert set(result.data) == {"tc", "tt"}
+        for active, balance in result.data.values():
             assert 0 <= active <= 1
             assert 0 <= balance <= 1
         assert "Active Rate" in result.render()
@@ -92,3 +97,48 @@ class TestAblations:
         )
         assert None in result.data
         assert result.data[1].counts == result.data[4].counts
+
+    def test_max_load_small(self):
+        result = ablation_max_load(graph_name="As", pattern="tc", values=(1, 6))
+        assert result.headers == ("max_load", "cycles", "speedup vs max_load=1")
+        assert set(result.data) == {1, 6}
+        assert result.data[1].counts == result.data[6].counts
+        assert len(result.rows) == 2
+
+    def test_dividers_small(self):
+        result = ablation_dividers(graph_name="As", pattern="tc", values=(1, 12))
+        assert result.headers == ("dividers", "cycles", "speedup vs 1")
+        assert set(result.data) == {1, 12}
+        assert result.data[1].counts == result.data[12].counts
+        assert result.rows[0][2] == "1.00"
+
+    def test_imbalance_small(self):
+        result = ablation_imbalance(graph_name="As", pattern="tc", pe_counts=(1, 2))
+        assert result.headers == ("PEs", "cycles", "scaling vs 1 PE", "imbalance")
+        assert set(result.data) == {1, 2}
+        assert result.data[1].counts == result.data[2].counts
+
+    def test_edge_induced_small(self):
+        result = ablation_edge_induced(graph_name="As", patterns=("dia",))
+        assert result.headers == (
+            "pattern", "v-induced count", "v-induced speedup",
+            "e-induced count", "e-induced speedup",
+        )
+        assert set(result.data) == {("dia", "vertex"), ("dia", "edge")}
+        for fing, flex in result.data.values():
+            assert fing.counts == flex.counts
+        vertex, _ = result.data[("dia", "vertex")]
+        edge, _ = result.data[("dia", "edge")]
+        assert edge.count >= vertex.count
+
+
+class TestSoftware:
+    def test_comparison_small(self):
+        result = software_comparison(graph_name="As", pattern="tc")
+        assert result.headers == (
+            "design", "cycles", "time (ns)", "speedup vs CPU"
+        )
+        assert set(result.data) == {"software", "flexminer", "fingers"}
+        counts = {r.counts for r in result.data.values()}
+        assert len(counts) == 1
+        assert len(result.rows) == 3

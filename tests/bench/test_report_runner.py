@@ -13,7 +13,7 @@ from repro.bench import (
     geometric_mean,
     roots_for,
 )
-from repro.bench.runner import clear_cache, run_cached, run_pair
+from repro.bench.runner import clear_cache, run_cached
 from repro.graph import erdos_renyi
 from repro.hw.api import FingersConfig, FlexMinerConfig
 
@@ -92,29 +92,27 @@ class TestRunnerCache:
     def test_cache_hit_returns_same_object(self):
         g = erdos_renyi(30, 0.3, seed=1)
         cfg = FingersConfig(num_pes=1)
-        a = run_cached(g, "tiny", "tc", cfg)
-        b = run_cached(g, "tiny", "tc", cfg)
+        a = run_cached(g, "tc", cfg)
+        b = run_cached(g, "tc", cfg)
         assert a is b
 
     def test_different_config_misses(self):
         g = erdos_renyi(30, 0.3, seed=1)
-        a = run_cached(g, "tiny", "tc", FingersConfig(num_pes=1))
-        b = run_cached(g, "tiny", "tc", FingersConfig(num_pes=2))
+        a = run_cached(g, "tc", FingersConfig(num_pes=1))
+        b = run_cached(g, "tc", FingersConfig(num_pes=2))
         assert a is not b
 
-    def test_run_pair_speedup_positive(self):
+    def test_two_designs_speedup_positive(self):
         g = erdos_renyi(40, 0.25, seed=2)
-        pair = run_pair(
-            g, "tiny", "tc",
-            FingersConfig(num_pes=1), FlexMinerConfig(num_pes=1),
-        )
-        assert pair.speedup > 0
-        assert pair.ours.counts == pair.baseline.counts
+        ours = run_cached(g, "tc", FingersConfig(num_pes=1))
+        theirs = run_cached(g, "tc", FlexMinerConfig(num_pes=1))
+        assert ours.speedup_over(theirs) > 0
+        assert ours.counts == theirs.counts
 
     def test_clear_cache(self):
         g = erdos_renyi(30, 0.3, seed=1)
         cfg = FingersConfig(num_pes=1)
-        a = run_cached(g, "tiny", "tc", cfg)
+        a = run_cached(g, "tc", cfg)
         clear_cache()
-        b = run_cached(g, "tiny", "tc", cfg)
+        b = run_cached(g, "tc", cfg)
         assert a is not b

@@ -10,7 +10,7 @@ from repro.bench.runner import (
     clear_cache,
     configure,
     reset_stats,
-    run_backend_cached,
+    run_cached,
     runner_stats,
 )
 from repro.cache import default_cache
@@ -41,9 +41,9 @@ class TestDiskRoundTrip:
         g = _graph()
         backend = get_backend(name)
         cfg = backend.default_config(units=2)
-        first = run_backend_cached(backend, g, "g", "tc", cfg)
+        first = run_cached(g, "tc", cfg)
         clear_cache()  # evict the in-process memo; disk survives
-        second = run_backend_cached(backend, g, "g", "tc", cfg)
+        second = run_cached(g, "tc", cfg)
         assert second is not first
         assert second == first
         stats = runner_stats()
@@ -78,13 +78,13 @@ class TestVersionInvalidation:
         g = _graph()
         backend = get_backend("fingers")
         cfg = backend.default_config(units=2)
-        run_backend_cached(backend, g, "g", "tc", cfg)
+        run_cached(g, "tc", cfg)
         clear_cache()
         monkeypatch.setattr(
             type(backend), "cache_key_version",
             backend.cache_key_version + 1,
         )
-        run_backend_cached(backend, g, "g", "tc", cfg)
+        run_cached(g, "tc", cfg)
         stats = runner_stats()
         assert stats.simulate_calls == 2
         assert stats.disk_hits == 0
@@ -95,11 +95,11 @@ class TestVersionInvalidation:
         g = _graph()
         backend = get_backend("fingers")
         cfg = backend.default_config(units=2)
-        run_backend_cached(backend, g, "g", "tc", cfg)
+        run_cached(g, "tc", cfg)
         clear_cache()
         monkeypatch.setattr(cache_mod, "SCHEMA_VERSION",
                             cache_mod.SCHEMA_VERSION + 1)
-        run_backend_cached(backend, g, "g", "tc", cfg)
+        run_cached(g, "tc", cfg)
         stats = runner_stats()
         assert stats.simulate_calls == 2
         assert stats.disk_hits == 0
@@ -108,12 +108,12 @@ class TestVersionInvalidation:
         g = _graph()
         backend = get_backend("fingers")
         cfg = backend.default_config(units=2)
-        run_backend_cached(backend, g, "g", "tc", cfg)
+        run_cached(g, "tc", cfg)
         clear_cache()
         cache = default_cache()
         for path in cache.entries():
             path.write_bytes(b"not a pickle")
-        run_backend_cached(backend, g, "g", "tc", cfg)
+        run_cached(g, "tc", cfg)
         stats = runner_stats()
         assert stats.simulate_calls == 2
 
@@ -122,7 +122,7 @@ class TestVersionInvalidation:
         backend = get_backend("software")
         cfg = backend.default_config(units=2)
         key = backend.cache_key(g, "tc", cfg)
-        run_backend_cached(backend, g, "g", "tc", cfg)
+        run_cached(g, "tc", cfg)
         hit, value = default_cache().get(key)
         assert hit
         assert isinstance(value, RunResult)

@@ -121,3 +121,31 @@ class TestRunSweep:
         )
         assert outcome.run == "renamed"
         assert store.runs() == ["renamed"]
+
+
+class TestCellModel:
+    def test_configured_jobs_do_not_shard_single_chip_cells(self, tmp_path):
+        """A ``jobs = [0]`` cell runs the single-chip model even when the
+        process-wide default selects the sharded one: its row is keyed
+        by the single-chip ``cell_key``, so its cycles must be too."""
+        from repro.hw.api import simulate
+        from repro.hw.config import FingersConfig
+
+        graph = erdos_renyi(60, 0.2, seed=5)
+        data = {
+            "sweep": {
+                "name": "model-test", "patterns": ["tc"],
+                "graphs": ["tiny"], "backends": ["fingers"], "jobs": [0],
+            },
+            "configs": {"fingers": {"num_pes": 4}},
+        }
+        spec = load_spec(data, available_graphs=["tiny"])
+        configure(jobs=2)
+        outcome = run_sweep(
+            spec, store=ResultStore(tmp_path / "store"),
+            graphs={"tiny": graph},
+        )
+        (row,) = outcome.rows
+        assert row.jobs is None
+        single_chip = simulate(graph, "tc", FingersConfig(num_pes=4))
+        assert row.cycles == single_chip.cycles

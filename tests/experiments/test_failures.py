@@ -14,6 +14,7 @@ from repro.experiments import (
 )
 from repro.experiments import executor as executor_module
 from repro.graph import erdos_renyi
+from repro.hw.config import FingersConfig
 from repro.resilience import faults
 
 
@@ -51,14 +52,14 @@ def _spec(**sweep):
 
 def _fail_fingers(monkeypatch):
     """Make only the fingers cell raise, through the real runner path."""
-    real = executor_module.run_backend_cached
+    real = executor_module.run_cached
 
-    def flaky(backend, *args, **kwargs):
-        if backend.name == "fingers":
+    def flaky(graph, workload, config, **kwargs):
+        if isinstance(config, FingersConfig):
             raise RuntimeError("simulated backend defect")
-        return real(backend, *args, **kwargs)
+        return real(graph, workload, config, **kwargs)
 
-    monkeypatch.setattr(executor_module, "run_backend_cached", flaky)
+    monkeypatch.setattr(executor_module, "run_cached", flaky)
 
 
 class TestFailureRows:

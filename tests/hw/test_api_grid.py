@@ -1,15 +1,8 @@
-"""Tests for the hw API helpers: speedup_grid and workload resolution."""
+"""Tests for the hw API helpers: workload resolution."""
 
 import pytest
 
-from repro.graph import erdos_renyi
-from repro.hw.api import (
-    FingersConfig,
-    FlexMinerConfig,
-    resolve_workload,
-    simulate,
-    speedup_grid,
-)
+from repro.hw.api import resolve_workload
 from repro.pattern import Pattern, compile_plan, named_pattern
 from repro.pattern.multipattern import compile_multi_plan, motif_patterns
 
@@ -48,31 +41,3 @@ class TestResolveWorkload:
         with pytest.raises(TypeError):
             resolve_workload(3.14)
 
-
-class TestSpeedupGrid:
-    def test_two_by_two(self):
-        graphs = {
-            "a": erdos_renyi(30, 0.3, seed=1),
-            "b": erdos_renyi(30, 0.3, seed=2),
-        }
-        grid = speedup_grid(
-            graphs,
-            ["tc", "tt"],
-            FingersConfig(num_pes=1),
-            FlexMinerConfig(num_pes=1),
-        )
-        assert set(grid) == {
-            ("tc", "a"), ("tc", "b"), ("tt", "a"), ("tt", "b")
-        }
-        assert all(v > 0 for v in grid.values())
-
-    def test_roots_for_applied(self):
-        g = erdos_renyi(30, 0.3, seed=3)
-        grid = speedup_grid(
-            {"g": g},
-            ["tc"],
-            FingersConfig(num_pes=1),
-            FlexMinerConfig(num_pes=1),
-            roots_for={"g": range(0, 30, 3)},
-        )
-        assert ("tc", "g") in grid

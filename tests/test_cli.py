@@ -130,14 +130,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "speedup" in out
 
-    def test_bench_table2(self, capsys):
-        assert main(["bench", "table2"]) == 0
-        assert "Table 2" in capsys.readouterr().out
-
-    def test_bench_unknown_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "fig99"])
-
 
 class TestValidateCommand:
     def test_validate_consistent(self, tmp_path, capsys):

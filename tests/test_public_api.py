@@ -37,7 +37,6 @@ class TestImports:
         assert repro.FingersConfig is not None
         assert repro.FlexMinerConfig is not None
         assert callable(repro.simulate)
-        assert callable(repro.speedup_grid)
         with pytest.raises(AttributeError):
             repro.not_a_real_symbol
 

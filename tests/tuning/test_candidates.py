@@ -1,5 +1,7 @@
 """Candidate generation: the order × policy grid and its invariants."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.graph.generators import barabasi_albert, erdos_renyi
@@ -82,12 +84,13 @@ def test_policy_grid_strips_the_tuned_flag():
 
 def test_policy_grid_gates_hub_variant_on_hub_mass():
     sig = graph_signature(BA)
-    labels_hubby = {n for n, _ in policy_grid(KernelPolicy(), sig)}
+    recursive = KernelPolicy(engine="recursive")
+    labels_hubby = {n for n, _ in policy_grid(recursive, sig)}
     if sig.hub_mass >= 0.05:
         assert "hubs-eager" in labels_hubby
     labels_off = {
         n for n, _ in policy_grid(
-            KernelPolicy(use_hub_bitmaps=False), sig
+            replace(recursive, use_hub_bitmaps=False), sig
         )
     }
     assert "hubs-eager" not in labels_off
@@ -96,7 +99,28 @@ def test_policy_grid_gates_hub_variant_on_hub_mass():
 def test_policy_grid_respects_forced_kernels():
     labels = {
         n for n, _ in policy_grid(
-            KernelPolicy(force_kernel="merge"), graph_signature(ER)
+            KernelPolicy(engine="recursive", force_kernel="merge"),
+            graph_signature(ER),
         )
     }
     assert "gallop-eager" not in labels
+
+
+#: Every KernelPolicy field the frontier engine reads.
+FRONTIER_FIELDS = (
+    "engine", "frontier_budget_bytes", "force_segment_kernel",
+    "segment_bitmap_bytes",
+)
+
+
+@pytest.mark.parametrize("graph", [ER, BA], ids=["er", "ba"])
+def test_frontier_grid_offers_no_duplicate_programs(graph):
+    """Under a frontier base no two grid policies run the same program:
+    each pair differs in a field the frontier engine reads, so the tuner
+    never picks between identical trials by timing noise."""
+    grid = policy_grid(KernelPolicy(), graph_signature(graph))
+    programs = [
+        tuple(getattr(policy, f) for f in FRONTIER_FIELDS)
+        for _, policy in grid
+    ]
+    assert len(set(programs)) == len(programs), [n for n, _ in grid]
