@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test bench bench-fast bench-kernels bench-sweep bench-engine bench-autotune tune-smoke examples clean loc lint lint-flow chaos check
+.PHONY: install test bench bench-fast bench-kernels bench-sweep bench-engine bench-autotune perfbench perfbench-trace tune-smoke examples clean loc lint lint-flow chaos check
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -49,6 +49,22 @@ bench-autotune:
 	$(PYTHON) -m repro tune house --dataset er300
 	$(PYTHON) -m repro exp run examples/sweeps/engine_autotune.toml --no-cache
 	$(PYTHON) -m repro exp report engine-autotune
+
+# Repository benchmark (perfbench/README.md): every workload at seed 0
+# and the held-out seed 7; the last stdout line of each run is its JSON
+# result.  perfbench-trace adds the per-layer split (perfbench/out/).
+PERFBENCH_WORKLOADS = sim-iu-sweep sim-chip count
+PERFBENCH_SEEDS = 0 7
+perfbench_all = for w in $(PERFBENCH_WORKLOADS); do for s in $(PERFBENCH_SEEDS); do \
+	echo "== $$w seed $$s"; \
+	$(PYTHON) perfbench/run.py --workload $$w --seed $$s --trace $(1) || exit 1; \
+	done; done
+
+perfbench:
+	@$(call perfbench_all,0)
+
+perfbench-trace:
+	@$(call perfbench_all,1)
 
 # Auto-tuner persistence gate: cold-store tune must run trials, the
 # second invocation must reuse the persisted choice with zero re-trials

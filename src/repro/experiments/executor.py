@@ -45,7 +45,9 @@ from repro.core.provenance import environment_provenance
 from repro.errors import CellFailed
 from repro.experiments.spec import Cell, SweepSpec
 from repro.experiments.store import ResultRow, ResultStore
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
+from repro.hw.pe import drop_search_tree
 from repro.parallel import pool as _pool
 from repro.resilience import faults
 from repro.setops.kernels import kernel_counters
@@ -83,7 +85,7 @@ def _counter_delta(before: Mapping[str, int], after: Mapping[str, int]):
 
 def sanitized_cell_check(
     backend: Backend,
-    graph: object,
+    graph: CSRGraph,
     cell: Cell,
     config: object,
     roots,
@@ -91,14 +93,16 @@ def sanitized_cell_check(
     """Run one cell twice with sanitizer probes armed and compare.
 
     Both executions call ``backend.run`` directly — deliberately
-    *bypassing* the memo/disk caches: a cached second run would record
-    zero kernel events and trivially "match".  Raises
+    *bypassing* the memo/disk caches — and each starts with the graph's
+    search-tree slot emptied: a cached or replayed second run would
+    record zero kernel events and trivially "match".  Raises
     :class:`repro.sanitize.SanitizerError` on any trace divergence or
     result mismatch.
     """
     traces: list[_sanitize.Trace] = []
     results = []
     for _ in range(2):
+        drop_search_tree(graph)
         with _sanitize.capture() as trace:
             results.append(
                 backend.run(

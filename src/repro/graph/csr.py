@@ -100,6 +100,7 @@ class CSRGraph:
         "_edge_key_cache",
         "_adj_bitmap_cache",
         "_signature_cache",
+        "_tree_cache",
     )
 
     def __init__(
@@ -125,6 +126,9 @@ class CSRGraph:
         #: Memoized tuning signature (repro.tuning.signature) — derived
         #: data only, computed at most once per graph instance.
         self._signature_cache: object | None = None
+        #: Memoized search-tree trace of the last simulated job
+        #: (repro.hw.pe.search_tree) — one slot, replaced on a new key.
+        self._tree_cache: object | None = None
 
     @staticmethod
     def _validate(indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -359,6 +363,7 @@ class CSRGraph:
         self._edge_key_cache = None
         self._adj_bitmap_cache = None
         self._signature_cache = None
+        self._tree_cache = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSRGraph):

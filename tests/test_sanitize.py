@@ -173,6 +173,30 @@ class TestSanitizedSweep:
         run_sweep(_spec(), store=store, graphs=GRAPHS)
         assert len(calls) == 2
 
+    def test_warm_search_tree_is_rebuilt_for_each_run(self, monkeypatch):
+        """A warm search-tree trace would let the second run replay with
+        zero kernel events; the check empties the slot before each run."""
+        from repro.core.backend import get_backend
+        from repro.experiments.spec import Cell
+        from repro.hw.api import FingersConfig, simulate
+
+        graph = erdos_renyi(30, 0.3, seed=1)
+        config = FingersConfig(num_pes=1)
+        simulate(graph, "tt", config)
+        assert graph._tree_cache is not None
+        compared = []
+        real_compare = sanitize.compare_traces
+        monkeypatch.setattr(
+            sanitize, "compare_traces",
+            lambda a, b: (compared.append((a, b)), real_compare(a, b))[1],
+        )
+        cell = Cell(pattern="tt", graph="tiny", backend="fingers")
+        sanitized_cell_check(get_backend("fingers"), graph, cell, config, None)
+        [(first, second)] = compared
+        kernel_events = [e for e in first.events if e.kind == "kernel"]
+        assert kernel_events
+        assert first.events == second.events
+
     def test_divergent_backend_is_caught(self):
         """A backend that draws from global RNG state diverges between
         the two sanitized executions and must be flagged."""
