@@ -7,16 +7,20 @@ from repro.hw.api import FingersConfig, MemoryConfig, simulate
 from repro.hw.cache import SectoredLRUCache
 from repro.hw.config import FlexMinerConfig
 from repro.hw.memory import DRAMModel
-from repro.hw.pe import FingersPE, Task, auto_group_size
+from repro.hw.pe import FingersPE, Task, auto_group_size, search_tree
 from repro.mining.api import plan_for
 
 
-def _make_pe(graph, pattern="tc", **cfg_kwargs):
+def _make_pe(graph, pattern="tc", roots=(0,), **cfg_kwargs):
+    """A lone PE replaying the trace of ``roots`` (root node i is
+    ``roots[i]``)."""
     cfg = FingersConfig(num_pes=1, **cfg_kwargs)
     mem = MemoryConfig()
+    plans = [plan_for(pattern)]
     pe = FingersPE(
-        0, graph, [plan_for(pattern)], cfg, mem,
+        0, graph, plans, cfg, mem,
         SectoredLRUCache(mem.shared_cache_bytes), DRAMModel(mem),
+        search_tree(graph, plans, list(roots)),
     )
     return pe
 
@@ -33,9 +37,9 @@ class TestPEBasics:
 
     def test_stats_accumulate(self):
         g = erdos_renyi(30, 0.4, seed=71)
-        pe = _make_pe(g, "tt")
-        for root in range(g.num_vertices):
-            pe.assign_root(root, pe.now)
+        pe = _make_pe(g, "tt", roots=range(g.num_vertices))
+        for node in range(g.num_vertices):
+            pe.assign_root(node, pe.now)
             while pe.has_work():
                 pe.step()
         assert pe.stats.tasks > 0
@@ -66,14 +70,15 @@ class TestPEBasics:
 
 class TestTaskObject:
     def test_slots(self):
-        t = Task(0, 1, (3, 4), {})
+        t = Task(0, 1, (3, 4), {}, 0)
         with pytest.raises(AttributeError):
             t.extra = 1  # type: ignore[attr-defined]
 
     def test_fields(self):
-        t = Task(None, 0, (7,), {})
+        t = Task(None, 0, (7,), {}, 2)
         assert t.plan_idx is None
         assert t.embedding == (7,)
+        assert t.node == 2
 
 
 class TestAutoGroupSize:
