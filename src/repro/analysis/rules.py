@@ -423,7 +423,7 @@ CACHE001 = register(
 #: Raw executor entry points that must only be reached through
 #: ``repro.core.get_backend(...)`` — direct use bypasses the unified
 #: result contract, summary formatting, and cache-key derivation.
-_GUARDED_ENTRY_POINTS = {"run_chip", "simulate_software", "SoftwareMiner"}
+_GUARDED_ENTRY_POINTS = {"run_chip", "run_software"}
 
 #: Modules allowed to touch the raw entry points: the backend layer
 #: itself, and the modules that define them.

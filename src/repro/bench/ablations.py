@@ -24,6 +24,7 @@ from repro.bench.runner import run_cached
 from repro.bench.workloads import roots_for
 from repro.graph.datasets import load_dataset
 from repro.hw.api import FingersConfig, FlexMinerConfig
+from repro.hw.config import SCHEDULES
 from repro.pattern.compiler import compile_plan
 from repro.pattern.pattern import named_pattern
 
@@ -84,8 +85,7 @@ def ablation_scheduling(
         f"Ablation: root scheduling policy ({pattern} on {graph_name}, "
         f"{num_pes} PEs)",
         ("policy", "cycles", "speedup vs dynamic", "imbalance"),
-        graph_name, pattern,
-        ("dynamic", "static_interleave", "static_block"),
+        graph_name, pattern, SCHEDULES,
         lambda policy: {
             "config": FingersConfig(num_pes=num_pes), "schedule": policy,
         },

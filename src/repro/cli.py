@@ -52,6 +52,7 @@ from repro.graph.datasets import (
 )
 from repro.graph.io import load_edge_list
 from repro.graph.stats import graph_stats
+from repro.hw.config import SCHEDULES
 
 __all__ = ["main", "build_parser"]
 
@@ -146,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", type=int, default=None)
     p.add_argument("--root-stride", type=int, default=1)
     p.add_argument(
-        "--schedule", choices=["dynamic", "static_interleave", "static_block"],
-        default="dynamic",
+        "--schedule", choices=SCHEDULES, default="dynamic",
     )
     p.add_argument("--trace", action="store_true", help="print a text Gantt")
     _add_parallel_args(p)

@@ -1,8 +1,9 @@
 """The four built-in backends.
 
-``fingers`` and ``flexminer`` wrap the chip event loop
+``fingers`` and ``flexminer`` wrap the chip model
 (:func:`repro.hw.chip.run_chip`), ``software`` wraps the multi-core
-miner (:class:`repro.sw.miner.SoftwareMiner`), and ``functional`` is
+miner (:func:`repro.sw.miner.run_software`) — both driven by the one
+root scheduler of :mod:`repro.hw.chip` — and ``functional`` is
 the pure reference engine promoted to a first-class backend — so
 cross-validation is just "run two backends, compare counts", with no
 special-cased engine path.
@@ -112,6 +113,9 @@ class SoftwareBackend(Backend):
     description = "multi-core software miner (work-stealing CPU model)"
     unit_field = "num_cores"
     unit_label = "cores"
+    #: 2: ``schedule`` is honoured (version 1 ran every schedule as
+    #: ``dynamic``, so its ``static_*`` entries hold dynamic results).
+    cache_key_version = 2
 
     @property
     def config_type(self):
@@ -134,9 +138,11 @@ class SoftwareBackend(Backend):
             raise ValueError(
                 "the software backend does not support event tracing"
             )
-        from repro.sw.miner import SoftwareMiner
+        from repro.sw.miner import run_software
 
-        return SoftwareMiner(graph, plans, config, memory).run(roots)
+        return run_software(
+            graph, plans, config, memory, roots=roots, schedule=schedule,
+        )
 
     def config_from_args(self, args):
         return self.default_config(units=args.pes or 8)

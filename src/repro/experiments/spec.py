@@ -37,6 +37,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.workload import resolve_workload
 from repro.graph.datasets import bench_graph_names, dataset_names
+from repro.hw.config import SCHEDULES
 from repro.setops.kernels import KernelPolicy
 
 __all__ = ["Cell", "SpecError", "SweepSpec", "load_spec", "load_spec_file"]
@@ -44,8 +45,6 @@ __all__ = ["Cell", "SpecError", "SweepSpec", "load_spec", "load_spec_file"]
 #: Sweep/run names double as store file stems, so they are restricted to
 #: filesystem-safe characters.
 NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-_SCHEDULES = ("dynamic", "static_interleave", "static_block")
 
 #: The policy label for "whatever the backend's default configuration
 #: does" — present in every sweep, never user-definable.
@@ -245,9 +244,9 @@ def load_spec(
         jobs = (0,)
     schedules = sweep.get("schedules", ["dynamic"]) or ["dynamic"]
     for schedule in schedules:
-        if schedule not in _SCHEDULES:
+        if schedule not in SCHEDULES:
             problems.append(
-                f"schedule {schedule!r} is not one of {', '.join(_SCHEDULES)}"
+                f"schedule {schedule!r} is not one of {', '.join(SCHEDULES)}"
             )
 
     configs = data.get("configs", {})

@@ -12,12 +12,18 @@ Layout
 ``config``     configuration dataclasses for both designs
 ``memory``     DRAM model
 ``cache``      shared / private sectored caches, stream buffers
-``iu``         intersect-unit pool: work-item scheduling and costs
-``divider``    task-divider timing (head lists, chunking)
+``noc``        PE <-> shared-cache interconnect
+``iu``         intersect-unit pool: work-item scheduling, costs and the
+               task-divider phase (head lists, chunking)
+``collector``  result-collector datapath, event by event (validation only)
 ``stats``      counters: cycles, active rate, balance rate, miss rates
-``pe``         the FINGERS processing element (pseudo-DFS, task groups)
+``tree``       the job's search-tree trace, built once and replayed
+``pe``         trace build, the shared PE traversal, and the FINGERS
+               processing element (pseudo-DFS, task groups)
 ``flexminer``  the baseline processing element (strict DFS, serial ops)
-``chip``       multi-PE chip with dynamic root scheduling
+``chip``       the simulator driver: root scheduler, event loop, result
+               assembly (shared with the software model in ``repro.sw``)
+``trace``      event tracer and text Gantt rendering
 ``area``       area/power model (paper Table 2) and iso-area helpers
 ``api``        `simulate` front door
 """

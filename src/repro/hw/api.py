@@ -41,8 +41,8 @@ def simulate(
     """Simulate one mining job on one chip configuration.
 
     ``schedule`` picks the global root scheduler (see
-    :func:`repro.hw.chip.run_chip`); the default is the paper's dynamic
-    policy.
+    :func:`repro.hw.chip.root_queues`); the default is the paper's
+    dynamic policy.
 
     ``jobs``/``shards`` select the **sharded (multi-chip) model** (see
     docs/PARALLELISM.md): the root set is cut into ``shards`` chunks (a

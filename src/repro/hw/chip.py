@@ -1,18 +1,22 @@
-"""Multi-PE chip: dynamic root scheduling over a shared memory system.
+"""The simulator driver: root scheduling over a shared memory system.
 
-The global scheduler hands search-tree roots to idle PEs (the
+The global scheduler hands search-tree roots to idle units (the
 coarse-grained, tree-level parallelism both designs share, section 3.1).
-PEs advance in time order, one task group per event, so their accesses to
-the shared cache and DRAM interleave approximately as they would on the
-real chip.  The chip makespan — the finish time of the last PE — is the
-headline "cycles" number; load imbalance from power-law roots shows up as
-the gap between mean PE busy time and makespan.
+Units advance in time order, one task group per event, so their accesses
+to the shared cache and DRAM interleave approximately as they would on
+the real chip.  The makespan — the finish time of the last unit — is the
+headline "cycles" number; load imbalance from power-law roots shows up
+as the gap between mean unit busy time and makespan.
+
+Both timing front doors share this driver: :func:`run_chip` runs the
+FINGERS and FlexMiner PEs, and :func:`repro.sw.miner.run_software` runs
+the software model's CPU cores.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.result import RunResult
 from repro.graph.csr import CSRGraph
@@ -22,26 +26,101 @@ from repro.hw.flexminer import FlexMinerPE
 from repro.hw.memory import DRAMModel
 from repro.hw.noc import NoCModel
 from repro.hw.pe import BasePE, FingersPE, search_tree
-from repro.hw.tree import SearchTree
 from repro.pattern.plan import ExecutionPlan
 
-__all__ = ["run_chip"]
+__all__ = ["drive", "root_queues", "run_chip", "unit_result"]
 
 
-def _make_pes(
-    graph: CSRGraph,
-    plans: Sequence[ExecutionPlan],
-    config: FingersConfig | FlexMinerConfig,
-    memcfg: MemoryConfig,
-    shared_cache: SectoredLRUCache,
-    dram: DRAMModel,
-    tree: SearchTree,
-) -> list[BasePE]:
-    pe_type = FingersPE if isinstance(config, FingersConfig) else FlexMinerPE
-    return [
-        pe_type(i, graph, plans, config, memcfg, shared_cache, dram, tree)
-        for i in range(config.num_pes)
-    ]
+def root_queues(
+    schedule: str, num_nodes: int, num_units: int
+) -> list[Iterator[int]]:
+    """One iterator of trace root nodes per unit, for ``schedule``.
+
+    ``"dynamic"`` (default, the paper's design)
+        every unit shares one iterator: the next unprocessed root goes
+        to the first idle unit.  With degree-ordered vertex ids this
+        also realizes the paper's future-work locality idea: nearby
+        (similar-degree) roots run on different units at the same time
+        and share shared-cache contents.
+    ``"static_interleave"``
+        unit ``i`` is pre-assigned roots ``i, i+P, i+2P, ...``.
+    ``"static_block"``
+        unit ``i`` is pre-assigned the ``i``-th contiguous block of
+        roots.  With power-law graphs the hub block serializes on one
+        unit — the coarse-grained load-imbalance pathology of paper
+        section 2.3, kept as an ablation (see ``repro.bench.ablations``).
+    """
+    nodes = range(num_nodes)
+    if schedule == "dynamic":
+        return [iter(nodes)] * num_units
+    if schedule == "static_interleave":
+        return [iter(nodes[i::num_units]) for i in range(num_units)]
+    if schedule == "static_block":
+        per_unit = -(-num_nodes // num_units)
+        return [
+            iter(nodes[i * per_unit : (i + 1) * per_unit])
+            for i in range(num_units)
+        ]
+    raise ValueError(f"unknown schedule policy {schedule!r}")
+
+
+def drive(
+    units: Sequence[BasePE], queues: Sequence[Iterator[int]]
+) -> list[float]:
+    """Run ``units`` in time order until all work is done.
+
+    Each event advances the earliest unit by one task group.  A unit out
+    of work takes the next root node from its queue; with its queue
+    empty it asks :meth:`BasePE.idle` whether it found other work, and
+    otherwise finishes.  Returns each unit's finish time.
+    """
+    finish = [0.0] * len(units)
+    heap: list[tuple[float, int]] = []
+    for unit, queue in zip(units, queues):
+        node = next(queue, None)
+        if node is not None:
+            unit.assign_root(node, 0.0)
+            heapq.heappush(heap, (unit.now, unit.pe_id))
+    while heap:
+        now, uid = heapq.heappop(heap)
+        unit = units[uid]
+        if unit.has_work():
+            unit.step()
+        else:
+            node = next(queues[uid], None)
+            if node is not None:
+                unit.assign_root(node, unit.now)
+            elif not unit.idle(now):
+                finish[uid] = unit.now
+                continue
+        heapq.heappush(heap, (unit.now, uid))
+    return finish
+
+
+def unit_result(
+    units: Sequence[BasePE],
+    finish: Sequence[float],
+    *,
+    backend: str,
+    design: str,
+    sections: Mapping[str, Any],
+    scalars: Mapping[str, Any],
+) -> RunResult:
+    """One run's result: counts summed over units, one stats entry each."""
+    counts = [0] * len(units[0].plans)
+    for unit in units:
+        for i, c in enumerate(unit.counts):
+            counts[i] += c
+    return RunResult(
+        backend=backend,
+        design=design,
+        cycles=max(finish),
+        counts=tuple(counts),
+        units=tuple(unit.stats for unit in units),
+        unit_finish_times=tuple(finish),
+        sections=sections,
+        scalars=scalars,
+    )
 
 
 def run_chip(
@@ -59,110 +138,35 @@ def run_chip(
     ``roots`` restricts the job to the given level-0 vertices (sampled
     simulation); defaults to every vertex.  The same ``roots`` on both
     designs guarantees identical functional work, so cycle ratios are
-    apples-to-apples.
-
-    ``schedule`` selects the global root scheduler:
-
-    ``"dynamic"`` (default, the paper's design)
-        the next unprocessed root goes to the first idle PE.  With
-        degree-ordered vertex ids this also realizes the paper's
-        future-work locality idea: nearby (similar-degree) roots run on
-        different PEs at the same time and share shared-cache contents.
-    ``"static_interleave"``
-        PE ``i`` is pre-assigned roots ``i, i+P, i+2P, ...``.
-    ``"static_block"``
-        PE ``i`` is pre-assigned the ``i``-th contiguous block of roots.
-        With power-law graphs the hub block serializes on one PE — the
-        coarse-grained load-imbalance pathology of paper section 2.3,
-        kept as an ablation (see ``repro.bench.ablations``).
+    apples-to-apples.  ``schedule`` selects the global root scheduler
+    (:func:`root_queues`).
     """
+    roots = None if roots is None else list(roots)
+    queues = root_queues(
+        schedule,
+        graph.num_vertices if roots is None else len(roots),
+        config.num_pes,
+    )
     memcfg = memcfg or MemoryConfig()
     shared_cache = SectoredLRUCache(memcfg.shared_cache_bytes, name="shared")
     dram = DRAMModel(memcfg)
     noc = NoCModel(memcfg.noc)
-    if schedule not in ("dynamic", "static_interleave", "static_block"):
-        raise ValueError(f"unknown schedule policy {schedule!r}")
-
-    tree = search_tree(
-        graph, plans, None if roots is None else list(roots)
-    )
-    pes = _make_pes(graph, plans, config, memcfg, shared_cache, dram, tree)
+    tree = search_tree(graph, plans, roots)
+    is_fingers = isinstance(config, FingersConfig)
+    pe_type = FingersPE if is_fingers else FlexMinerPE
+    pes = [
+        pe_type(i, graph, plans, config, memcfg, shared_cache, dram, tree)
+        for i in range(config.num_pes)
+    ]
     for pe in pes:
         pe.noc = noc
-        if tracer is not None:
-            pe.tracer = tracer
-
-    finish = [0.0] * len(pes)
-    heap: list[tuple[float, int]] = []
-
-    # Schedulers hand out root *nodes*: indices into the trace's roots.
-    nodes = range(tree.roots.size)
-    if schedule == "dynamic":
-        node_iter = iter(nodes)
-        for pe in pes:
-            node = next(node_iter, None)
-            if node is None:
-                break
-            pe.assign_root(node, 0.0)
-            heapq.heappush(heap, (pe.now, pe.pe_id))
-        while heap:
-            _, pid = heapq.heappop(heap)
-            pe = pes[pid]
-            if pe.has_work():
-                pe.step()
-                heapq.heappush(heap, (pe.now, pid))
-                continue
-            node = next(node_iter, None)
-            if node is None:
-                finish[pid] = pe.now
-                continue
-            pe.assign_root(node, pe.now)
-            heapq.heappush(heap, (pe.now, pid))
-    else:
-        if schedule == "static_interleave":
-            assigned = [nodes[i :: len(pes)] for i in range(len(pes))]
-        else:  # static_block
-            per_pe = -(-len(nodes) // len(pes))
-            assigned = [
-                nodes[i * per_pe : (i + 1) * per_pe] for i in range(len(pes))
-            ]
-        queues = [iter(a) for a in assigned]
-        for pe, q in zip(pes, queues):
-            node = next(q, None)
-            if node is None:
-                continue
-            pe.assign_root(node, 0.0)
-            heapq.heappush(heap, (pe.now, pe.pe_id))
-        while heap:
-            _, pid = heapq.heappop(heap)
-            pe = pes[pid]
-            if pe.has_work():
-                pe.step()
-                heapq.heappush(heap, (pe.now, pid))
-                continue
-            node = next(queues[pid], None)
-            if node is None:
-                finish[pid] = pe.now
-                continue
-            pe.assign_root(node, pe.now)
-            heapq.heappush(heap, (pe.now, pid))
-
-    cycles = max(finish) if finish else 0.0
-    counts = [0] * len(plans)
-    for pe in pes:
-        for i, c in enumerate(pe.counts):
-            counts[i] += c
-    stats = [pe.stats for pe in pes]
-    is_fingers = isinstance(config, FingersConfig)
-    num_ius = config.num_ius if is_fingers else 1
-    group = pes[0].group_size if is_fingers and pes else 1
-    return RunResult(
+        pe.tracer = tracer
+    finish = drive(pes, queues)
+    return unit_result(
+        pes,
+        finish,
         backend="fingers" if is_fingers else "flexminer",
         design=config.design_name,
-        cycles=cycles,
-        counts=tuple(counts),
-        units=tuple(stats),
-        unit_finish_times=tuple(finish),
         sections={
             "shared_cache": shared_cache.stats,
             "dram": dram.stats,
@@ -170,7 +174,7 @@ def run_chip(
         },
         scalars={
             "num_pes": len(pes),
-            "num_ius": num_ius,
-            "task_group_size": group,
+            "num_ius": config.num_ius if is_fingers else 1,
+            "task_group_size": pes[0].group_size if is_fingers else 1,
         },
     )

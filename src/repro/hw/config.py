@@ -18,7 +18,17 @@ from dataclasses import dataclass, field, replace
 from repro.graph.datasets import CACHE_SCALE
 from repro.hw.noc import NoCConfig
 
-__all__ = ["MemoryConfig", "FingersConfig", "FlexMinerConfig", "scaled_bytes"]
+__all__ = [
+    "SCHEDULES",
+    "MemoryConfig",
+    "FingersConfig",
+    "FlexMinerConfig",
+    "scaled_bytes",
+]
+
+#: Global root-scheduler policies (see :func:`repro.hw.chip.root_queues`);
+#: ``"dynamic"`` is the paper's design and the default everywhere.
+SCHEDULES = ("dynamic", "static_interleave", "static_block")
 
 
 def scaled_bytes(paper_bytes: int) -> int:

@@ -81,7 +81,10 @@ class FlexMinerPE(BasePE):
             stall_total += stall
             self.now = fetch_done
 
-            executed = self._execute_ops(task)
+            executed = self.tree.replay_ops(
+                self.graph, task.plan_idx, task.level, task.node,
+                task.embedding, task.states,
+            )
             compute = 0.0
             refetch_penalty = 0.0
             first_use: set[int] = set()

@@ -27,7 +27,7 @@ This is the hot path of the FINGERS model; everything is closed-form or
 vectorized.
 
 All timing here depends only on the op *input* arrays (kind, source,
-operand) captured by :meth:`repro.hw.pe.BasePE._execute_ops` — never on
+operand) that :meth:`repro.hw.tree.SearchTree.replay_ops` recovers — never on
 how the functional result was computed.  The adaptive kernel layer
 (:mod:`repro.setops.kernels`, docs/KERNELS.md) may therefore execute the
 op with any kernel: pairing/load tables and every cycle statistic are
@@ -47,7 +47,8 @@ from repro.setops.segments import pairing_loads
 
 __all__ = ["OpTiming", "TaskTiming", "time_task_ops"]
 
-#: Pipeline cycles to load a divider chunk's long heads (see divider.py).
+#: Pipeline cycles to load a divider chunk's long heads into the binary
+#: tree (paper section 4.2, Figure 7).
 _CHUNK_SETUP_CYCLES = 2
 
 

@@ -33,7 +33,7 @@ from repro.hw.iu import time_task_ops
 from repro.hw.memory import DRAMModel
 from repro.hw.noc import NoCModel
 from repro.hw.stats import PEStats
-from repro.hw.tree import OpInput, SearchTree, TreeBuilder
+from repro.hw.tree import SearchTree, TreeBuilder
 from repro.mining.engine import filtered_candidates
 from repro.pattern.plan import ExecutionPlan
 from repro.setops.kernels import KernelContext
@@ -187,7 +187,7 @@ def auto_group_size(
 
 
 class BasePE:
-    """Traversal and bookkeeping shared by both PE models."""
+    """Traversal and bookkeeping shared by the PE and CPU-core models."""
 
     def __init__(
         self,
@@ -232,6 +232,12 @@ class BasePE:
 
     def has_work(self) -> bool:
         return bool(self._stack)
+
+    def idle(self, now: float) -> bool:
+        """Called by the driver when this unit has no work and no root
+        left at time ``now``; returns whether it found more work (and
+        advanced its clock).  A PE never does: it finishes."""
+        return False
 
     def step(self) -> float:
         """Process one task group; advance and return the local clock."""
@@ -278,20 +284,6 @@ class BasePE:
         if task.plan_idx is not None:
             return [task.plan_idx]
         return list(range(len(self.plans)))
-
-    def _execute_ops(self, task: Task) -> list[OpInput]:
-        """Replay the task's deduplicated set ops from the trace.
-
-        Returns the (kind, source, operand) inputs of each op for the
-        timing model and sets the task's result states.  Ops whose
-        result state another plan of a merged root task already
-        produced appear once (the multi-pattern trunk sharing of
-        section 4).
-        """
-        return self.tree.replay_ops(
-            self.graph, task.plan_idx, task.level, task.node,
-            task.embedding, task.states,
-        )
 
     def _spawn_children(self, task: Task, group_size: int) -> None:
         """Count leaves and push child task groups, from the trace."""
@@ -386,7 +378,10 @@ class FingersPE(BasePE):
 
         for r, task in zip(ready, group):
             spill_penalty += self._charge_private_cache(task)
-            executed = self._execute_ops(task)
+            executed = self.tree.replay_ops(
+                self.graph, task.plan_idx, task.level, task.node,
+                task.embedding, task.states,
+            )
             timing = time_task_ops(
                 executed,
                 num_ius=cfg.num_ius,

@@ -161,6 +161,10 @@ class SearchTree:
     ) -> list[OpInput]:
         """Recover one task's op inputs and set its result states.
 
+        The inputs are the ``(kind, source, operand)`` of each op of
+        :func:`task_ops` (deduplicated across a merged root task's
+        plans), which is all the timing models charge for.
+
         An ``INIT_COPY`` result is the operand ``N(v)`` itself; a stored
         result is its source masked by the node's next bits.
         """

@@ -7,7 +7,9 @@ software costs: merges at ``elements_per_cycle``, a per-task scheduling
 overhead, and — under branch granularity — a steal latency whenever an
 idle core takes work from another core's deque.  Steals take the
 *oldest* (shallowest) task, the classic work-first stealing policy that
-moves the largest subtrees.
+moves the largest subtrees.  Roots reach the cores through the same
+global scheduler as the chip's PEs (:func:`repro.hw.chip.root_queues`,
+:func:`repro.hw.chip.drive`).
 
 This quantifies the paper's section 3.5 claim: branch-level parallelism
 helps software too (it fixes the tree-granularity load imbalance on
@@ -18,18 +20,20 @@ hardware closes.
 
 from __future__ import annotations
 
-import heapq
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.core.result import RunResult
 from repro.graph.csr import CSRGraph
 from repro.hw.cache import SectoredLRUCache
+from repro.hw.chip import drive, root_queues, unit_result
 from repro.hw.config import MemoryConfig
 from repro.hw.memory import DRAMModel
 from repro.hw.pe import BasePE, search_tree
+from repro.pattern.plan import ExecutionPlan
 from repro.sw.config import SoftwareConfig
 
-__all__ = ["SoftwareMiner"]
+__all__ = ["run_software"]
 
 #: LLC hit latency in core cycles (deeper hierarchy than the
 #: accelerator's dedicated shared cache).
@@ -43,14 +47,8 @@ class _Core(BasePE):
         super().__init__(core_id, graph, plans, memcfg, llc, dram, tree)
         self.config = config
         self.steals = 0
-
-    def _fetch_shared(self, v: int, now: float) -> float:  # override latency
-        self.stats.neighbor_fetches += 1
-        hit = self.shared_cache.access(v, self._list_bytes(v))
-        if hit:
-            return now + _LLC_HIT_LATENCY
-        done = self.dram.access(now, self._list_bytes(v))
-        return done + _LLC_HIT_LATENCY
+        #: Every core of the run, this one included (the steal targets).
+        self.peers: list[_Core] = []
 
     def step(self) -> float:
         group = self._stack.pop()
@@ -61,7 +59,10 @@ class _Core(BasePE):
                 fetch_done = max(fetch_done, self._fetch_shared(v, self.now))
             self.stats.stall_cycles += max(0.0, fetch_done - self.now)
             self.now = fetch_done
-            executed = self._execute_ops(task)
+            executed = self.tree.replay_ops(
+                self.graph, task.plan_idx, task.level, task.node,
+                task.embedding, task.states,
+            )
             compute = 0.0
             for _, source, operand in executed:
                 src_len = source.size if source is not None else 0
@@ -75,6 +76,26 @@ class _Core(BasePE):
         return self.now
 
     # -- stealing interface ---------------------------------------------
+
+    def idle(self, now: float) -> bool:
+        """Under branch granularity, steal from the deepest deque, or
+        poll again after a steal latency while any core is busy."""
+        if self.config.granularity != "branch":
+            return False
+        victim = max(
+            (c for c in self.peers if c.pe_id != self.pe_id),
+            key=lambda c: c.queue_depth,
+            default=None,
+        )
+        if victim is not None and self.steal_from(victim, now):
+            return True
+        if any(c.has_work() for c in self.peers):
+            # Nothing stealable right now, but a busy core will push
+            # children shortly: poll again after a steal latency
+            # (bounded spinning, as a real scheduler does).
+            self.now = max(self.now, now) + self.config.steal_overhead_cycles
+            return True
+        return False
 
     def steal_from(self, victim: "_Core", now: float) -> bool:
         """Take the victim's oldest task group; returns success.
@@ -97,92 +118,50 @@ class _Core(BasePE):
         return len(self._stack)
 
 
-class SoftwareMiner:
-    """Driver: schedules roots over cores, with optional work stealing."""
+def run_software(
+    graph: CSRGraph,
+    plans: Sequence[ExecutionPlan],
+    config: SoftwareConfig,
+    memcfg: MemoryConfig | None = None,
+    *,
+    roots: Iterable[int] | None = None,
+    schedule: str = "dynamic",
+) -> RunResult:
+    """Simulate one mining job on a multi-core CPU.
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        plans: Sequence,
-        config: SoftwareConfig,
-        memcfg: MemoryConfig | None = None,
-    ) -> None:
-        self.graph = graph
-        self.plans = list(plans)
-        self.config = config
-        base_mem = memcfg or MemoryConfig()
-        self.memcfg = base_mem.with_shared_cache(config.llc_bytes)
-
-    def run(self, roots: Iterable[int] | None = None) -> RunResult:
-        llc = SectoredLRUCache(self.memcfg.shared_cache_bytes, name="llc")
-        dram = DRAMModel(self.memcfg)
-        tree = search_tree(
-            self.graph, self.plans, None if roots is None else list(roots)
-        )
-        cores = [
-            _Core(
-                i, self.graph, self.plans, self.config, self.memcfg, llc,
-                dram, tree,
-            )
-            for i in range(self.config.num_cores)
-        ]
-        node_iter = iter(range(tree.roots.size))  # trace root nodes
-        heap: list[tuple[float, int]] = []
-        for core in cores:
-            node = next(node_iter, None)
-            if node is None:
-                break
-            core.assign_root(node, 0.0)
-            heapq.heappush(heap, (core.now, core.pe_id))
-
-        allow_steal = self.config.granularity == "branch"
-        finish = [0.0] * len(cores)
-        while heap:
-            now, cid = heapq.heappop(heap)
-            core = cores[cid]
-            if core.has_work():
-                core.step()
-                heapq.heappush(heap, (core.now, cid))
-                continue
-            node = next(node_iter, None)
-            if node is not None:
-                core.assign_root(node, core.now)
-                heapq.heappush(heap, (core.now, cid))
-                continue
-            if allow_steal:
-                victim = max(
-                    (c for c in cores if c.pe_id != cid),
-                    key=lambda c: c.queue_depth,
-                    default=None,
-                )
-                if victim is not None and core.steal_from(victim, now):
-                    heapq.heappush(heap, (core.now, cid))
-                    continue
-                if any(c.has_work() for c in cores):
-                    # Nothing stealable right now, but a busy core will
-                    # push children shortly: poll again after a steal
-                    # latency (bounded spinning, as a real scheduler does).
-                    core.now = max(core.now, now) + self.config.steal_overhead_cycles
-                    heapq.heappush(heap, (core.now, cid))
-                    continue
-            finish[cid] = core.now
-
-        counts = [0] * len(self.plans)
-        for core in cores:
-            for i, c in enumerate(core.counts):
-                counts[i] += c
-        stats = [core.stats for core in cores]
-        return RunResult(
-            backend="software",
-            design=self.config.design_name,
-            cycles=max(finish) if finish else 0.0,
-            counts=tuple(counts),
-            units=tuple(stats),
-            unit_finish_times=tuple(finish),
-            sections={"llc": llc.stats, "dram": dram.stats},
-            scalars={
-                "num_cores": len(cores),
-                "total_steals": sum(core.steals for core in cores),
-            },
-        )
-
+    The software counterpart of :func:`repro.hw.chip.run_chip`, with the
+    same ``roots`` and ``schedule`` semantics.  ``memcfg``'s shared
+    cache becomes the LLC (``config.llc_bytes``, hit latency
+    :data:`_LLC_HIT_LATENCY`).
+    """
+    roots = None if roots is None else list(roots)
+    queues = root_queues(
+        schedule,
+        graph.num_vertices if roots is None else len(roots),
+        config.num_cores,
+    )
+    memcfg = replace(
+        (memcfg or MemoryConfig()).with_shared_cache(config.llc_bytes),
+        shared_cache_hit_latency=_LLC_HIT_LATENCY,
+    )
+    llc = SectoredLRUCache(memcfg.shared_cache_bytes, name="llc")
+    dram = DRAMModel(memcfg)
+    tree = search_tree(graph, plans, roots)
+    cores = [
+        _Core(i, graph, plans, config, memcfg, llc, dram, tree)
+        for i in range(config.num_cores)
+    ]
+    for core in cores:
+        core.peers = cores
+    finish = drive(cores, queues)
+    return unit_result(
+        cores,
+        finish,
+        backend="software",
+        design=config.design_name,
+        sections={"llc": llc.stats, "dram": dram.stats},
+        scalars={
+            "num_cores": len(cores),
+            "total_steals": sum(core.steals for core in cores),
+        },
+    )

@@ -234,12 +234,15 @@ def test_arch001_run_chip_import_fires():
 
 
 def test_arch001_relative_import_fires():
-    src = "from .miner import SoftwareMiner\n"
+    src = "from .miner import run_software\n"
     assert rules_fired(src, module="repro.sw.snippet") == ["ARCH001"]
 
 
 def test_arch001_each_guarded_name_fires_once():
-    src = "from repro.sw.miner import SoftwareMiner, simulate_software\n"
+    src = (
+        "from repro.hw.chip import run_chip\n"
+        "from repro.sw.miner import run_software\n"
+    )
     assert rules_fired(src, module="repro.mining.snippet") == [
         "ARCH001", "ARCH001",
     ]

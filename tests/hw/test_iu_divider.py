@@ -1,9 +1,9 @@
-"""Tests for the IU-pool timing model and the task-divider model."""
+"""Tests for the IU-pool timing model and its task-divider phase."""
 
 import numpy as np
 import pytest
 
-from repro.hw.divider import DividerWork, divider_phase_cycles
+from repro.hw.config import FingersConfig
 from repro.hw.iu import TaskTiming, _op_item_costs, _round_robin_busy, time_task_ops
 from repro.pattern.plan import OpKind
 from repro.setops.segments import pairing_loads
@@ -183,32 +183,46 @@ class TestTimeTaskOps:
 
 
 class TestDividerModel:
+    """The divider phase of ``time_task_ops`` (section 4.2 chunking)."""
+
+    @staticmethod
+    def heads_op(n_long, n_short):
+        short = np.arange(n_short * DEFAULTS["short_len"], dtype=np.int32)
+        long = np.arange(n_long * DEFAULTS["long_len"], dtype=np.int32)
+        return (OpKind.INTERSECT, short, long)
+
+    @staticmethod
+    def phase(ops, num_dividers=1):
+        return time_task_ops(
+            ops, **{**DEFAULTS, "num_dividers": num_dividers}
+        ).divider_phase_cycles
+
     def test_no_chunking(self):
-        w = DividerWork(10, 20, long_head_capacity=15, short_head_capacity=24)
-        assert w.num_chunks == 1
+        assert self.phase([self.heads_op(10, 20)]) == 2 + 20
 
     def test_long_overflow_chunks(self):
-        w = DividerWork(40, 10, long_head_capacity=15, short_head_capacity=24)
-        assert w.num_chunks == 3
+        # ceil(40/15) = 3 chunks, 2 setup cycles each.
+        assert self.phase([self.heads_op(40, 10)]) == 3 * 2 + 10
 
     def test_both_overflow_additive(self):
-        w = DividerWork(40, 60, long_head_capacity=15, short_head_capacity=24)
-        assert w.num_chunks == 3 + 3 - 1
+        # 3 long + 3 short chunks - 1 = 5 chunks.
+        assert self.phase([self.heads_op(40, 60)]) == 5 * 2 + 60
 
     def test_phase_balanced(self):
-        works = [DividerWork(10, 20, 15, 24)] * 12
-        solo = divider_phase_cycles(works[:1], 12)
-        full = divider_phase_cycles(works, 12)
-        assert full == solo  # 12 works on 12 dividers run in parallel
+        ops = [self.heads_op(10, 20)] * 12
+        solo = self.phase(ops[:1], 12)
+        full = self.phase(ops, 12)
+        assert full == solo  # 12 ops on 12 dividers run in parallel
 
     def test_phase_floor_is_largest_chunk(self):
-        works = [DividerWork(5, 100, 15, 24)]
-        phase = divider_phase_cycles(works, 12)
-        assert phase >= 2  # at least setup cycles
+        # 2 chunks of 20 short heads: 44 cycles in all, 22 per chunk.
+        assert self.phase([self.heads_op(10, 40)], 12) == 2 + 20
 
     def test_empty(self):
-        assert divider_phase_cycles([], 12) == 0
+        assert self.phase([]) == 0
+        copy = (OpKind.INIT_COPY, None, arr(range(100)))
+        assert self.phase([copy]) == 0
 
     def test_invalid_dividers(self):
         with pytest.raises(ValueError):
-            divider_phase_cycles([], 0)
+            FingersConfig(num_dividers=0)

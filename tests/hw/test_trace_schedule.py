@@ -4,6 +4,8 @@ import pytest
 
 from repro.graph import erdos_renyi, load_dataset
 from repro.hw.api import FingersConfig, FlexMinerConfig, simulate
+from repro.hw.chip import root_queues
+from repro.hw.config import SCHEDULES
 from repro.hw.trace import TraceEvent, Tracer, render_gantt
 
 SMALL = erdos_renyi(50, 0.25, seed=13)
@@ -69,9 +71,7 @@ class TestGantt:
 
 
 class TestSchedulingPolicies:
-    @pytest.mark.parametrize(
-        "policy", ["dynamic", "static_interleave", "static_block"]
-    )
+    @pytest.mark.parametrize("policy", SCHEDULES)
     def test_counts_invariant(self, policy):
         res = simulate(
             SMALL, "tc", FingersConfig(num_pes=3), schedule=policy
@@ -79,6 +79,20 @@ class TestSchedulingPolicies:
         from repro.mining import count
 
         assert res.count == count(SMALL, "tc")
+
+    @pytest.mark.parametrize("policy", ["static_interleave", "static_block"])
+    @pytest.mark.parametrize("nodes,units", [(0, 3), (5, 16), (17, 4), (64, 8)])
+    def test_static_queues_hand_out_every_node_once(self, policy, nodes, units):
+        queues = root_queues(policy, nodes, units)
+        assert len(queues) == units
+        handed = [node for queue in queues for node in queue]
+        assert sorted(handed) == list(range(nodes))
+
+    def test_dynamic_queues_share_one_iterator(self):
+        queues = root_queues("dynamic", 10, 4)
+        assert len(queues) == 4
+        assert all(queue is queues[0] for queue in queues)
+        assert list(queues[0]) == list(range(10))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="schedule"):

@@ -70,6 +70,24 @@ class TestScheduling:
         assert branch.load_imbalance < tree.load_imbalance
         assert branch.total_steals > 0
 
+    def test_schedule_is_honoured(self):
+        """Static root assignment serializes the hub trees on one core."""
+        g = load_dataset("Lj")
+        roots = list(range(0, g.num_vertices, 32))
+        runs = {
+            policy: simulate(
+                g, "tc", SoftwareConfig(num_cores=8, granularity="tree"),
+                roots=roots, schedule=policy,
+            )
+            for policy in ("dynamic", "static_block")
+        }
+        assert runs["static_block"].counts == runs["dynamic"].counts
+        assert runs["static_block"].cycles > runs["dynamic"].cycles
+
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(ValueError, match="schedule"):
+            simulate(SMALL, "tc", SoftwareConfig(), schedule="bogus")
+
     def test_tree_granularity_never_steals(self):
         g = star_graph(50)
         res = simulate(

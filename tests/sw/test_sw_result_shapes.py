@@ -5,7 +5,7 @@ import pytest
 from repro.graph import erdos_renyi
 from repro.hw.api import resolve_workload, simulate
 from repro.sw.config import SoftwareConfig
-from repro.sw.miner import SoftwareMiner
+from repro.sw.miner import run_software
 
 SMALL = erdos_renyi(40, 0.3, seed=55)
 
@@ -42,17 +42,17 @@ class TestSoftwareResult:
 class TestMinerClass:
     def test_miner_reusable(self):
         _, plans, _ = resolve_workload("tc")
-        miner = SoftwareMiner(SMALL, plans, SoftwareConfig(num_cores=2))
-        first = miner.run()
-        second = miner.run()
-        assert first.count == second.count
-        assert first.cycles == second.cycles  # fresh memory state per run
+        cfg = SoftwareConfig(num_cores=2)
+        first = run_software(SMALL, plans, cfg)
+        second = run_software(SMALL, plans, cfg)
+        assert first == second  # fresh memory state per run
 
     def test_llc_capacity_from_config(self):
         _, plans, _ = resolve_workload("tc")
-        cfg = SoftwareConfig(num_cores=1, llc_bytes=12345)
-        miner = SoftwareMiner(SMALL, plans, cfg)
-        assert miner.memcfg.shared_cache_bytes == 12345
+        tiny = run_software(SMALL, plans, SoftwareConfig(llc_bytes=64))
+        full = run_software(SMALL, plans, SoftwareConfig())
+        assert tiny.count == full.count
+        assert tiny.llc.misses > full.llc.misses
 
     def test_more_cores_than_roots(self):
         res = simulate(
